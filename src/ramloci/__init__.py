@@ -13,7 +13,6 @@ Two halves share one exact-rational kernel:
   torsion description of the ramification points.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .bundles import (
     ChernPoly,
     jet_chern,
@@ -21,7 +20,6 @@ from .bundles import (
     porteous_c2,
     pushforward_c1,
     special_ramification_class,
-    weierstrass_class_derived,
 )
 from .chow import ChowClass, ChowRing, chow_integrate, chow_mul, weierstrass_class
 from .curves import (
@@ -54,7 +52,6 @@ from .numeric import (
     UniPoly,
     bareiss_det,
     poly_eval,
-    rat_normalize,
     series_invert,
     series_sqrt,
 )
@@ -63,14 +60,12 @@ from .cli import parse_curve
 __version__ = "0.1.0"
 
 __all__ = [
-    "kernel_backend",
     "ChernPoly",
     "jet_chern",
     "moving_locus_class",
     "porteous_c2",
     "pushforward_c1",
     "special_ramification_class",
-    "weierstrass_class_derived",
     "ChowClass",
     "ChowRing",
     "chow_integrate",
@@ -101,7 +96,6 @@ __all__ = [
     "UniPoly",
     "bareiss_det",
     "poly_eval",
-    "rat_normalize",
     "series_invert",
     "series_sqrt",
     "parse_curve",

@@ -1,14 +1,11 @@
-"""Pure-Python implementations of the hot integer-vector kernels.
+"""Integer convolution kernel behind every series and polynomial product.
 
 Series and polynomial coefficients are exact rationals.  The expensive
-inner loops (dense convolution) run on integer numerator vectors scaled
+inner loop (dense convolution) runs on integer numerator vectors scaled
 to a common denominator, so the per-element work is plain big-integer
 arithmetic; rational normalisation happens once per output coefficient,
-in the callers.  The compiled twin in ``_cykernels.pyx`` implements the
-same functions with identical semantics.
+in the callers.
 """
-
-BACKEND = "pure"
 
 
 def convolve(a, b, n_out):

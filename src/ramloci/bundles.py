@@ -12,7 +12,6 @@ locus.  Everything is specialised to a concrete genus through a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chow import (
     DELTA,
@@ -38,11 +37,8 @@ class ChernPoly:
     ring: ChowRing
     c1: ChowClass = ChowClass()
     c2: ChowClass = ChowClass()
-    c0: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if self.c0 != 1:
-            raise ValueError("a total Chern class has degree-0 part 1")
         if self.c1.c0 or self.c1.cPt:
             raise ValueError("c1 must be purely of degree 1")
         if self.c2.c0 or self.c2.cK1 or self.c2.cK2 or self.c2.cDelta:
@@ -78,17 +74,6 @@ def pushforward_c1(ring: ChowRing, j: int) -> ChowClass:
     if j < 0:
         raise ValueError("j must be nonnegative")
     return _pushforward_c1_coeff(j) * K1
-
-
-def weierstrass_class_derived(ring: ChowRing, j: int) -> ChowClass:
-    """Weierstrass-divisor class assembled from the relative wronskian
-    line bundle and the recursion-derived pushforward c1 (the engine
-    side of the coefficientwise certification)."""
-    g = ring.genus
-    base = ChowClass(
-        cK2=Fraction((g + j) * (g + j + 1), 2), cDelta=Fraction(j * (g + j + 1))
-    )
-    return base - pushforward_c1(ring, j)
 
 
 def jet_chern(ring: ChowRing, i: int, ell: int) -> ChernPoly:

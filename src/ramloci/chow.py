@@ -36,7 +36,9 @@ class ChowClass:
 
     def __post_init__(self):
         for f in ("c0", "cK1", "cK2", "cDelta", "cPt"):
-            object.__setattr__(self, f, Fraction(getattr(self, f)))
+            v = getattr(self, f)
+            if type(v) is not Fraction:
+                object.__setattr__(self, f, Fraction(v))
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         return ChowClass(
@@ -101,12 +103,6 @@ class ChowRing:
     def __post_init__(self):
         if self.genus < 1:
             raise ValueError("genus must be at least 1")
-
-    def mul(self, a: ChowClass, b: ChowClass) -> ChowClass:
-        return chow_mul(self, a, b)
-
-    def integrate(self, a: ChowClass) -> Fraction:
-        return chow_integrate(self, a)
 
 
 def chow_mul(ring: ChowRing, a: ChowClass, b: ChowClass) -> ChowClass:

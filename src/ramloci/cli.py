@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -205,7 +204,6 @@ class RunConfig:
     i_max: int = 8
     fmt: str = "pretty"
     case_filter: str | None = None
-    jobs: int = 1
 
     def __post_init__(self):
         if not 1 <= self.g_min <= self.g_max:
@@ -214,8 +212,6 @@ class RunConfig:
             raise ConfigError(f"need 0 <= i_min <= i_max, got {self.i_min}..{self.i_max}")
         if self.fmt not in _FORMATS:
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
 
     @property
     def g_range(self):
@@ -238,14 +234,6 @@ def _parse_span(text: str, name: str):
     except ValueError:
         raise ConfigError(f"cannot parse --{name} span {text!r}; use A or A..B") from None
     return lo, hi
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("RAMLOCI_JOBS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +307,11 @@ def cmd_verify(args, out) -> int:
         i_max=i_span[1],
         fmt=args.format,
         case_filter=args.filter,
-        jobs=args.jobs,
     )
     reports = formulas.run_suite(
         g_range=config.g_range,
         i_range=config.i_range,
         name_filter=config.case_filter,
-        jobs=config.jobs,
     )
     if not reports:
         raise ConfigError(f"no cases match filter {config.case_filter!r}")
@@ -334,6 +320,9 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_curve(args, out) -> int:
+    min_i = 1 if args.curve_cmd == "torsion" else 0
+    if args.i < min_i:
+        raise ConfigError(f"curve {args.curve_cmd} needs --i >= {min_i}, got {args.i}")
     model = parse_curve(args.model, require_split=args.require_split)
     fmt = args.format
     equation = f"y^2 = {model.f}"
@@ -427,7 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--i", default="0..8", metavar="A..B", help="twist span")
     verify.add_argument("--format", choices=_FORMATS, default="pretty")
     verify.add_argument("--filter", default=None, help="case name glob")
-    verify.add_argument("--jobs", type=int, default=_default_jobs())
 
     curve = sub.add_parser("curve", help="compute on an explicit curve")
     curve.add_argument("curve_cmd", choices=("basis", "orders", "weights", "torsion"))
@@ -437,9 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--format", choices=_FORMATS, default="pretty")
     curve.add_argument("--require-split", action="store_true")
     return parser
-
-
-_EXIT_INCONCLUSIVE = {InconclusiveError, InternalCheckError}
 
 
 def main(argv=None, out=None) -> int:

@@ -23,17 +23,11 @@ forms declare the safe bound 8, so certification demands at least a
 from __future__ import annotations
 
 import fnmatch
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .bundles import (
-    jet_chern,
-    moving_locus_class,
-    special_ramification_class,
-    weierstrass_class_derived,
-)
+from .bundles import jet_chern, moving_locus_class, special_ramification_class
 from .chow import DELTA, ChowRing, chow_integrate, chow_mul, weierstrass_class
 from .errors import GridInsufficientError
 from .numeric import ParamPoly
@@ -237,15 +231,15 @@ def certify_symbolic(name: str, lhs: ParamPoly, rhs: ParamPoly, anchor: str) -> 
 
 
 def engine_w_class_k1(g: int, i: int) -> Fraction:
-    return weierstrass_class_derived(ChowRing(g), i).cK1
+    return weierstrass_class(ChowRing(g), i).cK1
 
 
 def engine_w_class_k2(g: int, i: int) -> Fraction:
-    return weierstrass_class_derived(ChowRing(g), i).cK2
+    return weierstrass_class(ChowRing(g), i).cK2
 
 
 def engine_w_class_delta(g: int, i: int) -> Fraction:
-    return weierstrass_class_derived(ChowRing(g), i).cDelta
+    return weierstrass_class(ChowRing(g), i).cDelta
 
 
 def engine_jet_c1_k2(g: int, i: int) -> Fraction:
@@ -374,18 +368,10 @@ def run_suite(
     g_range: Sequence[int] = DEFAULT_G_RANGE,
     i_range: Sequence[int] = DEFAULT_I_RANGE,
     name_filter: str | None = None,
-    jobs: int = 1,
 ) -> list[CertificationReport]:
-    """Run all (or the filtered) certification cases.
-
-    Cases are independent and may run concurrently up to ``jobs``;
-    reports always come back in the canonical case order.
-    """
+    """Run all (or the filtered) certification cases, serially and in
+    the canonical case order."""
     names = [
         n for n in CASES if name_filter is None or fnmatch.fnmatchcase(n, name_filter)
     ]
-    if jobs > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {n: pool.submit(CASES[n].runner, g_range, i_range) for n in names}
-            return [futures[n].result() for n in names]
     return [CASES[n].runner(g_range, i_range) for n in names]

@@ -42,16 +42,6 @@ Rational = Fraction
 _INF = math.inf
 
 
-def rat_normalize(n, d) -> Fraction:
-    """Canonical reduced fraction n/d with positive denominator.
-
-    Raises ``ZeroDivisionError`` when d = 0.  ``Fraction`` already
-    guarantees the canonical form (gcd 1, denominator > 0, zero as 0/1);
-    this wrapper is the documented constructor used throughout.
-    """
-    return Fraction(n, d)
-
-
 def rat_sqrt(q: Fraction):
     """Exact square root of a rational, or None when q is not a square in Q."""
     if q < 0:

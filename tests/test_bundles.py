@@ -8,7 +8,6 @@ from ramloci.bundles import (
     porteous_c2,
     pushforward_c1,
     special_ramification_class,
-    weierstrass_class_derived,
 )
 from ramloci.chow import (
     DELTA,
@@ -36,12 +35,6 @@ class TestPushforwardC1:
         ring = ChowRing(5)
         for j in range(10):
             assert pushforward_c1(ring, j) == ChowClass(cK1=Fraction(-j * (j + 1), 2))
-
-    def test_derived_class_matches_direct(self):
-        for g in range(1, 6):
-            ring = ChowRing(g)
-            for j in range(6):
-                assert weierstrass_class_derived(ring, j) == weierstrass_class(ring, j)
 
 
 class TestJetChern:
@@ -138,6 +131,6 @@ class TestSpecialRamificationClass:
 def test_k1_part_only_from_pushforward():
     ring = ChowRing(3)
     for j in range(5):
-        w = weierstrass_class_derived(ring, j)
+        w = weierstrass_class(ring, j)
         assert w.cK1 == Fraction(j * (j + 1), 2)
         assert w.c0 == 0 and w.cPt == 0

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ramloci
 from ramloci import formulas
 from ramloci.cli import RunConfig, main, parse_curve, _parse_place
 from ramloci.errors import (
@@ -20,6 +25,18 @@ def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def run_module(*argv):
+    """Run ``python -m ramloci`` in a fresh interpreter on this source tree."""
+    src = str(Path(ramloci.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "ramloci", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
 
 
 class TestParseCurve:
@@ -86,8 +103,6 @@ class TestRunConfig:
             RunConfig(g_min=5, g_max=2)
         with pytest.raises(ConfigError):
             RunConfig(fmt="xml")
-        with pytest.raises(ConfigError):
-            RunConfig(jobs=0)
 
 
 class TestVerifyCommand:
@@ -127,7 +142,7 @@ class TestVerifyCommand:
     def test_byte_determinism(self):
         runs = [run_cli("verify", "--format", "json")[1] for _ in range(2)]
         assert runs[0] == runs[1]
-        runs_tsv = [run_cli("verify", "--format", "tsv", "--jobs", "3")[1] for _ in range(2)]
+        runs_tsv = [run_cli("verify", "--format", "tsv")[1] for _ in range(2)]
         assert runs_tsv[0] == runs_tsv[1]
 
     def test_verification_failure_exit_code(self, monkeypatch):
@@ -232,6 +247,18 @@ class TestCurveCommand:
         code, _ = run_cli("curve", "nonsense", "y^2 = x^3 - x")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "sub, i",
+        [("basis", "-1"), ("orders", "-1"), ("weights", "-1"), ("torsion", "0")],
+    )
+    def test_twist_below_range_is_config_error(self, sub, i):
+        proc = run_module("curve", sub, "y^2 = x^3 - x", "--i", i, "--place", "inf")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error[config]: ")
+        assert "--i" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     def test_weights_json_deterministic(self):
         args = ("curve", "weights", "y^2 = x^3 + 1", "--i", "2", "--format", "json")
         assert run_cli(*args)[1] == run_cli(*args)[1]
@@ -248,3 +275,9 @@ class TestExitCodeMapping:
         monkeypatch.setattr(cli_mod, "total_weight", boom)
         code, _ = run_cli("curve", "weights", "y^2 = x^3 - x", "--i", "1")
         assert code == 3
+
+
+def test_python_dash_m_entry_point():
+    proc = run_module("verify", "--filter", "identity_a")
+    assert proc.returncode == 0, proc.stderr
+    assert "1/1 cases passed" in proc.stdout
