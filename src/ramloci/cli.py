@@ -38,6 +38,15 @@ SCHEMA_VERSION = 1
 
 _FORMATS = ("json", "tsv", "pretty")
 
+# Input caps, checked before anything is sized by the input.  Exact
+# weight computations grow fast with degree and twist, so the caps sit
+# far above what finishes in reasonable time and far below what could
+# exhaust memory.  A number literal is also kept below Python's limit
+# on int conversion from a string (4300 digits).
+MAX_DEGREE = 31  # largest exponent of x in a curve equation (genus 15)
+MAX_TWIST = 32  # largest curve --i
+MAX_DIGITS = 1000  # longest integer literal in a curve equation
+
 
 # ---------------------------------------------------------------------------
 # Curve equation parser: "y^2 = <monic odd polynomial in x>"
@@ -56,6 +65,10 @@ def _tokenize(text: str):
             start = pos
             while pos < n and text[pos].isdigit():
                 pos += 1
+            if pos - start > MAX_DIGITS:
+                raise CurveSyntaxError(
+                    f"number literal longer than {MAX_DIGITS} digits", start
+                )
             tokens.append(("num", text[start:pos], start))
             continue
         if ch in "xy":
@@ -145,7 +158,12 @@ class _Parser:
             self.take("name", "x")
             if self.peek()[0] == "^":
                 self.take("^")
-                exponent = int(self.take("num")[1])
+                etok = self.take("num")
+                exponent = int(etok[1])
+                if exponent > MAX_DEGREE:
+                    raise CurveSyntaxError(
+                        f"exponent {exponent} exceeds the degree cap {MAX_DEGREE}", etok[2]
+                    )
             else:
                 exponent = 1
         elif coeff is None:
@@ -321,8 +339,10 @@ def cmd_verify(args, out) -> int:
 
 def cmd_curve(args, out) -> int:
     min_i = 1 if args.curve_cmd == "torsion" else 0
-    if args.i < min_i:
-        raise ConfigError(f"curve {args.curve_cmd} needs --i >= {min_i}, got {args.i}")
+    if not min_i <= args.i <= MAX_TWIST:
+        raise ConfigError(
+            f"curve {args.curve_cmd} needs {min_i} <= --i <= {MAX_TWIST}, got {args.i}"
+        )
     model = parse_curve(args.model, require_split=args.require_split)
     fmt = args.format
     equation = f"y^2 = {model.f}"

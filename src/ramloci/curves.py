@@ -19,6 +19,10 @@ engine cannot expand exactly (ordinary points with irrational
 coordinates, branch points over irrational roots of f) is recovered
 without any root-finding from the valuations of the affine wronskian,
 whose divisor has degree zero.
+
+The affine wronskian and the division polynomials are computed in Q[x]
+and only the result is wrapped as a ``CurveFunction`` (a + b y)/den, a
+canonical-form value type with no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -151,14 +155,15 @@ class HyperellipticModel:
 
 
 # ---------------------------------------------------------------------------
-# Function field arithmetic: (a(x) + b(x) y) / den(x) with y^2 = f
+# Function field elements: (a(x) + b(x) y) / den(x) with y^2 = f
 
 
 class CurveFunction:
     """Element of the function field of a model, in canonical form.
 
-    Canonical form: gcd(a, b, den) = 1 and den monic.  Inversion goes
-    through the conjugate, using the norm a^2 - b^2 f.
+    Canonical form: gcd(a, b, den) = 1 and den monic, so two elements are
+    equal iff their (a, b, den) are.  This is a value type: the wronskian
+    and the division polynomials are computed in Q[x] and wrapped once.
     """
 
     __slots__ = ("model", "a", "b", "den")
@@ -180,16 +185,6 @@ class CurveFunction:
     def __setattr__(self, *args):
         raise AttributeError("CurveFunction is immutable")
 
-    def _coerce(self, other):
-        if isinstance(other, CurveFunction):
-            if other.model is not self.model and other.model != self.model:
-                raise ValueError("functions on different models")
-            return other
-        if isinstance(other, (int, Fraction, UniPoly)):
-            p = other if isinstance(other, UniPoly) else UniPoly.const(other)
-            return CurveFunction(self.model, p, UniPoly(), UniPoly.const(1))
-        return NotImplemented
-
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
 
@@ -197,99 +192,21 @@ class CurveFunction:
         return not self.is_zero()
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, CurveFunction):
             return NotImplemented
-        return (self.a, self.b, self.den) == (other.a, other.b, other.den)
+        return (self.model, self.a, self.b, self.den) == (
+            other.model,
+            other.a,
+            other.b,
+            other.den,
+        )
 
     def __hash__(self):
         return hash((self.a, self.b, self.den))
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CurveFunction(
-            self.model,
-            self.a * other.den + other.a * self.den,
-            self.b * other.den + other.b * self.den,
-            self.den * other.den,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CurveFunction(self.model, -self.a, -self.b, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        f = self.model.f
-        a = self.a * other.a + self.b * other.b * f
-        b = self.a * other.b + self.b * other.a
-        return CurveFunction(self.model, a, b, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "CurveFunction":
-        if self.is_zero():
-            raise ZeroDivisionError("inverting the zero function")
-        if self.b.is_zero():
-            return CurveFunction(self.model, self.den, UniPoly(), self.a)
-        n = self.norm_numerator()
-        if n.is_zero():
-            raise ZeroDivisionError("inverting the zero function")
-        return CurveFunction(self.model, self.a * self.den, -self.b * self.den, n)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = self.model.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def norm_numerator(self) -> UniPoly:
         """The polynomial a^2 - b^2 f (norm of the numerator a + b y)."""
         return self.a * self.a - self.b * self.b * self.model.f
-
-    def derivative(self) -> "CurveFunction":
-        """Derivative with respect to x, using y' = f'(x) / (2y)."""
-        a, b, den = self.a, self.b, self.den
-        dp = den.derivative()
-        if b.is_zero():
-            return CurveFunction(
-                self.model, a.derivative() * den - a * dp, UniPoly(), den * den
-            )
-        f = self.model.f
-        fp = f.derivative()
-        two_f = 2 * f
-        new_a = two_f * (a.derivative() * den - a * dp)
-        new_b = (two_f * b.derivative() + b * fp) * den - two_f * b * dp
-        return CurveFunction(self.model, new_a, new_b, two_f * den * den)
 
     def __repr__(self):
         num = []
@@ -560,34 +477,37 @@ def affine_wronskian(model: HyperellipticModel, basis: MonomialBasis) -> CurveFu
     monomials; at places where x is a local parameter its valuation is
     the local ramification weight.
 
-    Derivatives of x^a stay in Q(x) and derivatives of x^a y stay in
-    Q(x) y, so each y is pulled out of its column by multilinearity and
-    the Bareiss elimination runs over plain rational functions of x.
+    Since y' = f' y / (2f), the m-th derivative of x^a y^b (b in {0, 1})
+    is R_m y^b / (2f)^m with R_m in Q[x]:
+
+        R_0 = x^a,    R_{m+1} = 2f R_m' + (b - 2m) f' R_m.
+
+    Pulling y^b out of each column and (2f)^-m out of each row leaves the
+    polynomial matrix (R_m), whose determinant fraction-free Bareiss
+    computes with exact division in Q[x].  With k y-columns the wronskian
+    is det(R_m) y^k / (2f)^(n(n-1)/2), and y^k = f^(k//2) y^(k%2).
     """
     n = len(basis)
     f = model.f
-    half_dlog = CurveFunction(model, f.derivative(), UniPoly(), 2 * f)
+    fp = f.derivative()
+    two_f = 2 * f
     columns = []
-    y_columns = 0
     for a_exp, b_exp in basis.exponents:
-        entry = model.monomial(a_exp, 0)
+        entry = UniPoly.x() ** a_exp
         col = [entry]
-        if b_exp:
-            y_columns += 1
-            for _ in range(n - 1):
-                entry = entry.derivative() + entry * half_dlog
-                col.append(entry)
-        else:
-            for _ in range(n - 1):
-                entry = entry.derivative()
-                col.append(entry)
+        for m in range(n - 1):
+            entry = two_f * entry.derivative() + (b_exp - 2 * m) * fp * entry
+            col.append(entry)
         columns.append(col)
     det = bareiss_det([[columns[k][m] for k in range(n)] for m in range(n)])
     if det.is_zero():
         raise DegenerateSystemError("wronskian of a monomial basis vanished")
-    if y_columns:
-        det = det * model.y_fn() ** y_columns
-    return det
+    y_columns = sum(b for _, b in basis.exponents)
+    num = det * f ** (y_columns // 2)
+    den = two_f ** (n * (n - 1) // 2)
+    if y_columns % 2:
+        return CurveFunction(model, UniPoly(), num, den)
+    return CurveFunction(model, num, UniPoly(), den)
 
 
 def ord_at_infinity(model: HyperellipticModel, fn: CurveFunction) -> int:
@@ -745,52 +665,54 @@ def total_weight(model: HyperellipticModel, i: int) -> WeightReport:
 
 @functools.lru_cache(maxsize=512)
 def division_polynomial(model: HyperellipticModel, n: int) -> CurveFunction:
-    """n-th division polynomial of a genus-1 model, as a curve function.
+    """n-th division polynomial psi_n of a genus-1 model, as a curve function.
 
-    Vanishes exactly at the nontrivial affine n-torsion points.  Odd n
-    gives a pure polynomial in x; even n gives a polynomial times y.
+    Vanishes exactly at the nontrivial affine n-torsion points.  The
+    recursion runs in Q[x] on p_n, where psi_n = p_n for odd n and
+    psi_n = y p_n for even n; every y^4 it meets becomes f^2.
     """
     if model.genus != 1:
         raise UnsupportedModelError("division polynomials need a genus-1 model")
     if n < 1:
         raise ValueError("n must be at least 1")
     f = model.f
-    a2, a4, a6 = f[2], f[1], f[0]
-    b2 = 4 * a2
-    b4 = 2 * a4
-    b6 = 4 * a6
-    b8 = 4 * a2 * a6 - a4 * a4
-    x = UniPoly.x()
+    if n <= 2:
+        pn = UniPoly.const(n)
+    elif n <= 4:
+        x = UniPoly.x()
+        a2, a4, a6 = f[2], f[1], f[0]
+        b2 = 4 * a2
+        b4 = 2 * a4
+        b6 = 4 * a6
+        b8 = 4 * a2 * a6 - a4 * a4
+        if n == 3:
+            pn = 3 * x**4 + b2 * x**3 + 3 * b4 * x**2 + 3 * b6 * x + b8
+        else:
+            pn = 2 * (
+                2 * x**6
+                + b2 * x**5
+                + 5 * b4 * x**4
+                + 10 * b6 * x**3
+                + 10 * b8 * x**2
+                + (b2 * b8 - b4 * b6) * x
+                + (b4 * b8 - b6 * b6)
+            )
+    else:
 
-    def poly(p: UniPoly) -> CurveFunction:
-        return CurveFunction(model, p, UniPoly(), UniPoly.const(1))
+        def p(k: int) -> UniPoly:
+            psi = division_polynomial(model, k)
+            return psi.a if k % 2 else psi.b
 
-    if n == 1:
-        return model.one()
-    if n == 2:
-        return 2 * model.y_fn()
-    if n == 3:
-        return poly(3 * x**4 + b2 * x**3 + 3 * b4 * x**2 + 3 * b6 * x + b8)
-    if n == 4:
-        inner = (
-            2 * x**6
-            + b2 * x**5
-            + 5 * b4 * x**4
-            + 10 * b6 * x**3
-            + 10 * b8 * x**2
-            + (b2 * b8 - b4 * b6) * x
-            + (b4 * b8 - b6 * b6)
-        )
-        return division_polynomial(model, 2) * poly(inner)
-    m, odd = divmod(n, 2)
-    psi = functools.partial(division_polynomial, model)
-    if odd:
-        return psi(m + 2) * psi(m) ** 3 - psi(m - 1) * psi(m + 1) ** 3
-    result = psi(m) * (psi(m + 2) * psi(m - 1) ** 2 - psi(m - 2) * psi(m + 1) ** 2)
-    result = result / psi(2)
-    if result.den.degree != 0:
-        raise InternalCheckError("even division polynomial was not polynomial")
-    return result
+        m, odd = divmod(n, 2)
+        if odd:
+            first = p(m + 2) * p(m) ** 3
+            second = p(m - 1) * p(m + 1) ** 3
+            pn = first - f * f * second if m % 2 else f * f * first - second
+        else:
+            pn = p(m) * (p(m + 2) * p(m - 1) ** 2 - p(m - 2) * p(m + 1) ** 2) / 2
+    if n % 2:
+        return CurveFunction(model, pn, UniPoly(), UniPoly.const(1))
+    return CurveFunction(model, UniPoly(), pn, UniPoly.const(1))
 
 
 def _strip_branch_factors(p: UniPoly, f: UniPoly) -> UniPoly:
@@ -833,8 +755,5 @@ def torsion_check(model: HyperellipticModel, j: int) -> bool:
         raise InternalCheckError("branch weights of a genus-1 system must agree")
     ram = ordinary if branch_weight_all == 0 else ordinary * f.squarefree_part()
 
-    psi = division_polynomial(model, n)
-    if psi.den.degree != 0:
-        raise InternalCheckError("division polynomial must be polynomial")
-    torsion = psi.norm_numerator().squarefree_part()
+    torsion = division_polynomial(model, n).norm_numerator().squarefree_part()
     return ram.monic() == torsion.monic()

@@ -361,6 +361,8 @@ class UniPoly:
             raise ValueError("inexact polynomial division")
         return q
 
+    __truediv__ = exact_div
+
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -826,19 +828,15 @@ def poly_on_series(p: UniPoly, x: Series) -> Series:
 # Determinants
 
 
-def _is_zero_elem(x) -> bool:
-    return not x
-
-
 def bareiss_det(matrix):
     """Exact determinant by fraction-free Bareiss elimination.
 
     Entries may live in any exact integral domain whose elements support
     ring operations and exact division (``/``) by earlier pivots; the
-    divisions performed are exact by construction.  Zero is a valid
-    result.
+    divisions performed are exact by construction.  Python ints are taken
+    as ``Fraction`` so that ``/`` stays exact.  Zero is a valid result.
     """
-    m = [list(row) for row in matrix]
+    m = [[Fraction(e) if isinstance(e, int) else e for e in row] for row in matrix]
     n = len(m)
     if n == 0:
         raise ValueError("empty matrix")
@@ -849,7 +847,7 @@ def bareiss_det(matrix):
     sign = 1
     prev = None
     for k in range(n - 1):
-        piv = next((r for r in range(k, n) if not _is_zero_elem(m[r][k])), None)
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
             z = m[0][0] - m[0][0]
             return z

@@ -10,7 +10,7 @@ import pytest
 
 import ramloci
 from ramloci import formulas
-from ramloci.cli import RunConfig, main, parse_curve, _parse_place
+from ramloci.cli import MAX_DEGREE, MAX_TWIST, RunConfig, main, parse_curve, _parse_place
 from ramloci.errors import (
     ConfigError,
     CurveSyntaxError,
@@ -37,6 +37,14 @@ def run_module(*argv):
         env=dict(os.environ, PYTHONPATH=src),
         timeout=120,
     )
+
+
+def _assert_one_error_line(proc, code):
+    """The CLI contract: exit 2 and a single error[code] line, no traceback."""
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error[{code}]: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 class TestParseCurve:
@@ -249,15 +257,40 @@ class TestCurveCommand:
 
     @pytest.mark.parametrize(
         "sub, i",
-        [("basis", "-1"), ("orders", "-1"), ("weights", "-1"), ("torsion", "0")],
+        [
+            ("basis", "-1"),
+            ("orders", "-1"),
+            ("weights", "-1"),
+            ("torsion", "0"),
+            ("weights", str(MAX_TWIST + 1)),
+            ("torsion", "1000000000"),
+        ],
     )
     def test_twist_below_range_is_config_error(self, sub, i):
         proc = run_module("curve", sub, "y^2 = x^3 - x", "--i", i, "--place", "inf")
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error[config]: ")
+        _assert_one_error_line(proc, "config")
         assert "--i" in proc.stderr
-        assert proc.stderr.count("\n") == 1
-        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "equation",
+        [
+            "y^2 = x^999999999 + 1",
+            f"y^2 = x^{MAX_DEGREE + 2} + 1",
+            "y^2 = x^3 + " + "7" * 5000,
+            "y^2 = x^" + "1" * 5000 + " + 1",
+            "y^2 = x^3 + 1/" + "3" * 4400,
+        ],
+        ids=[
+            "exponent-1e9",
+            "exponent-over-cap",
+            "coeff-5000-digits",
+            "exponent-5000-digits",
+            "denominator-4400-digits",
+        ],
+    )
+    def test_oversized_curve_is_syntax_error(self, equation):
+        proc = run_module("curve", "weights", equation, "--i", "1")
+        _assert_one_error_line(proc, "syntax")
 
     def test_weights_json_deterministic(self):
         args = ("curve", "weights", "y^2 = x^3 + 1", "--i", "2", "--format", "json")

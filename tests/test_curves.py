@@ -5,6 +5,7 @@ import pytest
 from ramloci.cli import parse_curve
 from ramloci.curves import (
     DX_OVER_Y,
+    CurveFunction,
     HyperellipticModel,
     Place,
     affine_wronskian,
@@ -29,7 +30,7 @@ from ramloci.errors import (
     NotSquarefreeError,
     UnsupportedModelError,
 )
-from ramloci.numeric import Series, UniPoly
+from ramloci.numeric import Series, UniPoly, cofactor_det
 
 X = UniPoly.x()
 
@@ -222,9 +223,12 @@ class TestWronskian:
         assert affine_wronskian(E1, build_basis(E1, 0)) == E1.one()
 
     def test_second_derivative_case(self):
-        # basis {1, x, y}: the wronskian is the second x-derivative of y
+        # basis {1, x, y}: the wronskian is the second x-derivative of y,
+        # y'' = (2 f f'' - f'^2) y / (4 f^2)
         w = affine_wronskian(E2, build_basis(E2, 2))
-        y2 = E2.y_fn().derivative().derivative()
+        f = E2.f
+        fp, fpp = f.derivative(), f.derivative().derivative()
+        y2 = CurveFunction(E2, UniPoly(), 2 * f * fpp - fp * fp, 4 * f * f)
         assert w == y2
         # verify against the local expansion at an ordinary place: t = x - x0
         place = Place.ordinary(2, 3)
@@ -242,6 +246,47 @@ class TestWronskian:
         # infinity
         s = expand_at(E1, w, Place.infinity(), 40)
         assert s.valuation == ord_at_infinity(E1, w)
+
+    @pytest.mark.parametrize(
+        "f, x0, y0",
+        [(X**3 + 1, 2, 3), (X**7 - X + 1, 1, 1), (X**5 + 1, 0, 1)],
+        ids=["x^3+1", "x^7-x+1", "x^5+1"],
+    )
+    @pytest.mark.parametrize("i", range(0, 4))
+    def test_matches_series_at_ordinary_place(self, f, x0, y0, i):
+        # t = x - x0 at an ordinary place, so d/dx = d/dt on expansions
+        model = HyperellipticModel.from_poly(f)
+        place = Place.ordinary(x0, y0)
+        basis = build_basis(model, i)
+        n = len(basis)
+        rows = [[expand_at(model, fn, place, 12 + n) for fn in basis.functions]]
+        for _ in range(n - 1):
+            rows.append([s.derivative() for s in rows[-1]])
+        via_series = cofactor_det(rows)
+        direct = expand_at(model, affine_wronskian(model, basis), place, 12 + n)
+        for e in range(12):
+            assert via_series.coefficient(e) == direct.coefficient(e)
+
+    @pytest.mark.parametrize(
+        "model, i_max", [(E1, 3), (E2, 3), (G2, 2)], ids=["x^3-x", "x^3+1", "g2"]
+    )
+    def test_matches_sympy_wronskian(self, model, i_max):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def expr(p):
+            return sum(
+                sympy.Rational(c.numerator, c.denominator) * x**k
+                for k, c in enumerate(p.coeffs)
+            )
+
+        sqrt_f = sympy.sqrt(expr(model.f))
+        for i in range(i_max + 1):
+            basis = build_basis(model, i)
+            funcs = [x**a * sqrt_f**b for a, b in basis.exponents]
+            w = affine_wronskian(model, basis)
+            ours = (expr(w.a) + expr(w.b) * sqrt_f) / expr(w.den)
+            assert sympy.simplify(sympy.wronskian(funcs, x) - ours) == 0
 
     def test_branch_ord_total_matches_rational_roots_when_split(self):
         for i in (1, 2, 3):
@@ -312,7 +357,8 @@ class TestDivisionPolynomials:
     def test_bases(self):
         assert division_polynomial(E1, 1) == E1.one()
         psi2 = division_polynomial(E1, 2)
-        assert psi2 == 2 * E1.y_fn()
+        assert psi2.a == 0
+        assert psi2.b == 2
         psi3 = division_polynomial(E1, 3)
         assert psi3.b.is_zero()
         assert psi3.a == 3 * X**4 - 6 * X**2 - 1
@@ -338,6 +384,13 @@ class TestDivisionPolynomials:
         assert psi5.a.degree == 12  # (25 - 1) / 2
         assert psi5.a.gcd(E1.f).degree == 0  # 5-torsion avoids 2-torsion
 
+    @pytest.mark.parametrize("model", [E1, E2], ids=["x^3-x", "x^3+1"])
+    def test_norm_degree(self, model):
+        # psi_n^2 has degree n^2 - 1 in x for odd and even n alike
+        for n in range(1, 13):
+            psi = division_polynomial(model, n)
+            assert psi.norm_numerator().degree == n * n - 1
+
     def test_needs_genus_one(self):
         with pytest.raises(UnsupportedModelError):
             division_polynomial(G2, 2)
@@ -345,7 +398,7 @@ class TestDivisionPolynomials:
 
 class TestTorsionOracle:
     @pytest.mark.parametrize("model", [E1, E2], ids=["x^3-x", "x^3+1"])
-    @pytest.mark.parametrize("j", range(1, 5))
+    @pytest.mark.parametrize("j", range(1, 7))
     def test_ramification_is_torsion(self, model, j):
         assert torsion_check(model, j)
         assert total_weight(model, j).total == (j + 1) ** 2

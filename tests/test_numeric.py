@@ -90,6 +90,13 @@ class TestUniPoly:
         with pytest.raises(ValueError):
             (x**2 + 1).exact_div(x + 1)
 
+    def test_truediv_is_exact(self):
+        x = UniPoly.x()
+        assert ((x**2 - 1) * (x + 3)) / (x + 3) == x**2 - 1
+        assert (4 * x + 2) / 2 == 2 * x + 1
+        with pytest.raises(ValueError):
+            (x**2 + 1) / (x + 1)
+
     def test_squarefree_part(self):
         x = UniPoly.x()
         p = (x - 1) ** 3 * (x + 2)
@@ -266,14 +273,30 @@ class TestBareiss:
 
     def test_integer_matrix_stays_integral(self):
         m = [[2, 4, 1], [6, 3, 9], [1, 1, 1]]
-        det = bareiss_det([[Fraction(c) for c in row] for row in m])
-        assert det.denominator == 1
+        det = bareiss_det(m)
+        assert det == 3
+        assert isinstance(det, Fraction) and det.denominator == 1
 
     def test_against_cofactor_all_sizes(self):
         rng = random.Random(7)
         for n in (1, 2, 3, 4):
             for _ in range(25):
                 m = _random_matrix(rng, n)
+                assert bareiss_det(m) == cofactor_det(m)
+                ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                det = bareiss_det(ints)
+                assert det == cofactor_det(ints)
+                assert not isinstance(det, float)
+
+    def test_polynomial_entries(self):
+        # exact division in Q[x] at every elimination step
+        rng = random.Random(11)
+        for n in (2, 3, 4):
+            for _ in range(10):
+                m = [
+                    [UniPoly(_random_matrix(rng, 3)[0]) for _ in range(n)]
+                    for _ in range(n)
+                ]
                 assert bareiss_det(m) == cofactor_det(m)
 
 
