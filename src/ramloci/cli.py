@@ -46,6 +46,11 @@ _FORMATS = ("json", "tsv", "pretty")
 MAX_DEGREE = 31  # largest exponent of x in a curve equation (genus 15)
 MAX_TWIST = 32  # largest curve --i
 MAX_DIGITS = 1000  # longest integer literal in a curve equation
+# Largest verify --g and --i.  A 9 x 9 grid already proves every
+# identity; the full 1..16 x 0..16 grid runs in about 5 s on one core
+# (Python 3.11), and the time grows faster than the number of points.
+MAX_VERIFY_G = 16
+MAX_VERIFY_I = 16
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +233,11 @@ class RunConfig:
             raise ConfigError(f"need 1 <= g_min <= g_max, got {self.g_min}..{self.g_max}")
         if not 0 <= self.i_min <= self.i_max:
             raise ConfigError(f"need 0 <= i_min <= i_max, got {self.i_min}..{self.i_max}")
+        if self.g_max > MAX_VERIFY_G or self.i_max > MAX_VERIFY_I:
+            raise ConfigError(
+                f"grid {self.g_min}..{self.g_max} x {self.i_min}..{self.i_max} exceeds "
+                f"the cap g <= {MAX_VERIFY_G}, i <= {MAX_VERIFY_I}"
+            )
         if self.fmt not in _FORMATS:
             raise ConfigError(f"unknown format {self.fmt!r}")
 

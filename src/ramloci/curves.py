@@ -69,8 +69,17 @@ DX_OVER_Y = _DxOverY()
 
 
 def start_precision(g: int, i: int) -> int:
-    """Initial expansion precision: generous against the weight bound."""
-    return 4 * (g * (g + i) ** 2 + 2 * g + 2)
+    """Initial expansion precision, d + 3 with d = 2g - 1 + i.
+
+    Every vanishing order of the system is at most its degree d, so the
+    staircase needs each series known through t^d.  At a branch place
+    x - x0 = u(t) starts at t^2 and is known below t^prec in absolute
+    terms, so dx/dt and with it dx/dt * 1/y are known only below
+    t^(prec - 2): two orders short of ordinary places and infinity.
+    The doubling loop in ``order_sequence_at`` keeps any start correct;
+    this one needs no doubling on the models tested.
+    """
+    return 2 * g + i + 2
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +133,6 @@ class HyperellipticModel:
         branch = tuple(sorted(x for x, _ in roots))
         genus = (f.degree - 1) // 2
         return cls(f=f, genus=genus, branch_x=branch, splits=len(branch) == f.degree)
-
-    def one(self) -> "CurveFunction":
-        return CurveFunction(self, UniPoly.const(1), UniPoly(), UniPoly.const(1))
-
-    def x_fn(self) -> "CurveFunction":
-        return CurveFunction(self, UniPoly.x(), UniPoly(), UniPoly.const(1))
-
-    def y_fn(self) -> "CurveFunction":
-        return CurveFunction(self, UniPoly(), UniPoly.const(1), UniPoly.const(1))
 
     def monomial(self, a: int, b: int) -> "CurveFunction":
         xa = UniPoly.x() ** a
@@ -435,9 +435,12 @@ def order_sequence_at(
 ) -> OrderSequence:
     """Vanishing orders of the twisted canonical system at the place.
 
-    Starts at the documented precision and doubles on an inconclusive
-    elimination; reaching the cap is an explicit error, never a wrong
-    answer.
+    Expansions start at ``start_precision(g, i)``, which only decides
+    how much work is done.  Correctness comes from the doubling loop:
+    every reported order is the valuation of a nonzero coefficient known
+    exactly, and when a combination vanishes within its known window the
+    precision doubles.  Reaching the cap is an explicit error, never a
+    wrong answer.
     """
     g, i = model.genus, basis.i
     twist = i + 1 if place.kind == INFINITY else 0

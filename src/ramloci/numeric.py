@@ -26,7 +26,6 @@ threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -468,10 +467,15 @@ class UniPoly:
         return m
 
     def rational_roots(self):
-        """All rational roots, with multiplicity, as a sorted list.
+        """All rational roots, with multiplicity, as a sorted list of
+        pairs (root, multiplicity).
 
-        Uses the rational root theorem on the integer-scaled polynomial;
-        returns pairs (root, multiplicity).
+        Let s be the squarefree part of p, made primitive over Z, of
+        degree n and leading coefficient c.  Then q(z) = c^(n-1) s(z/c)
+        is monic over Z, so z = c x is an integer for every rational
+        root x of p.  The integer roots of q come from p-adic lifting,
+        at a cost that grows with the bit size of the coefficients, not
+        with their number of divisors.
         """
         if self.is_zero():
             raise ValueError("zero polynomial")
@@ -485,20 +489,14 @@ class UniPoly:
         if k:
             roots.append((Fraction(0), k))
         if p.degree >= 1:
-            den = 1
-            for c in p.coeffs:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-            ints = [int(c * den) for c in p.coeffs]
-            lead, tail = ints[-1], ints[0]
-            for num in _divisors(abs(tail)):
-                for d in _divisors(abs(lead)):
-                    for cand in (Fraction(num, d), Fraction(-num, d)):
-                        m = p.root_multiplicity(cand)
-                        if m:
-                            roots.append((cand, m))
-                            p = p.exact_div(UniPoly([-cand, 1]) ** m)
-                            if p.degree == 0:
-                                return sorted(roots)
+            ints = p.squarefree_part()._int_coeffs()
+            n, lead = len(ints) - 1, ints[-1]
+            q = [c * lead ** (n - 1 - j) for j, c in enumerate(ints[:-1])] + [1]
+            for z in _integer_root_candidates(q):
+                cand = Fraction(z, lead)
+                m = p.root_multiplicity(cand)
+                if m:
+                    roots.append((cand, m))
         return sorted(roots)
 
     def __repr__(self):
@@ -522,16 +520,47 @@ class UniPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _divisors(n: int):
-    if n == 0:
-        return
-    seen = set()
-    for d in itertools.chain.from_iterable(
-        (d, n // d) for d in range(1, math.isqrt(n) + 1) if n % d == 0
-    ):
-        if d not in seen:
-            seen.add(d)
-            yield d
+def _eval_mod(cs, z: int, m: int) -> int:
+    """Value mod m at z of the integer polynomial with coefficients cs."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * z + c) % m
+    return acc
+
+
+def _integer_root_candidates(cs):
+    """At most n integers among which are all the integer roots of the
+    monic squarefree q over Z of degree n with coefficients ``cs``
+    (constant term first).
+
+    p-adic lifting (Loos 1983): pick a prime P at which every root of q
+    mod P is simple, and lift each of those roots by Newton's method to
+    a modulus M above twice Fujiwara's root bound
+    2^(1 + max_k ceil(bits(q_(n-k)) / k)).  An integer root z of q
+    reduces to a simple root mod P whose lift is z mod M, so z is the
+    symmetric residue of one lift.  Such a P exists because q is
+    squarefree: every prime not dividing its discriminant qualifies.
+    """
+    dcs = [k * c for k, c in enumerate(cs)][1:]
+    n = len(cs) - 1
+    exp = max((abs(cs[n - k]).bit_length() + k - 1) // k for k in range(1, n + 1))
+    bound = 2 ** (exp + 1)
+    prime = 1
+    while True:
+        prime += 1
+        if any(prime % d == 0 for d in range(2, math.isqrt(prime) + 1)):
+            continue
+        residues = [r for r in range(prime) if _eval_mod(cs, r, prime) == 0]
+        if all(_eval_mod(dcs, r, prime) for r in residues):
+            break
+    candidates = []
+    for r in residues:
+        m = prime
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _eval_mod(cs, r, m) * pow(_eval_mod(dcs, r, m), -1, m)) % m
+        candidates.append(r - m if 2 * r > m else r)
+    return candidates
 
 
 # ---------------------------------------------------------------------------

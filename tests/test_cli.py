@@ -10,7 +10,16 @@ import pytest
 
 import ramloci
 from ramloci import formulas
-from ramloci.cli import MAX_DEGREE, MAX_TWIST, RunConfig, main, parse_curve, _parse_place
+from ramloci.cli import (
+    MAX_DEGREE,
+    MAX_TWIST,
+    MAX_VERIFY_G,
+    MAX_VERIFY_I,
+    RunConfig,
+    main,
+    parse_curve,
+    _parse_place,
+)
 from ramloci.errors import (
     ConfigError,
     CurveSyntaxError,
@@ -27,7 +36,7 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
-def run_module(*argv):
+def run_module(*argv, timeout=120):
     """Run ``python -m ramloci`` in a fresh interpreter on this source tree."""
     src = str(Path(ramloci.__file__).resolve().parents[1])
     return subprocess.run(
@@ -35,7 +44,7 @@ def run_module(*argv):
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -152,6 +161,21 @@ class TestVerifyCommand:
         assert runs[0] == runs[1]
         runs_tsv = [run_cli("verify", "--format", "tsv")[1] for _ in range(2)]
         assert runs_tsv[0] == runs_tsv[1]
+
+    @pytest.mark.parametrize(
+        "g, i",
+        [
+            (f"1..{MAX_VERIFY_G + 1}", "0..8"),
+            ("1..9", f"0..{MAX_VERIFY_I + 1}"),
+            ("1..60", "0..60"),
+            ("1..1000000000", "0..8"),
+        ],
+        ids=["g-over-cap", "i-over-cap", "both-60", "g-1e9"],
+    )
+    def test_span_over_cap_is_config_error(self, g, i):
+        proc = run_module("verify", "--g", g, "--i", i, timeout=20)
+        _assert_one_error_line(proc, "config")
+        assert "cap" in proc.stderr
 
     def test_verification_failure_exit_code(self, monkeypatch):
         broken_form = ClosedForm(
@@ -291,6 +315,15 @@ class TestCurveCommand:
     def test_oversized_curve_is_syntax_error(self, equation):
         proc = run_module("curve", "weights", equation, "--i", "1")
         _assert_one_error_line(proc, "syntax")
+
+    def test_large_constant_term_validates_fast(self):
+        # a divisor scan of the constant term 10^30 + 1 is ~10^15 steps
+        proc = run_module(
+            "curve", "weights", "y^2 = x^3 + 1000000000000000000000000000001",
+            "--i", "1", "--format", "json", timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["total"] == 4
 
     def test_weights_json_deterministic(self):
         args = ("curve", "weights", "y^2 = x^3 + 1", "--i", "2", "--format", "json")

@@ -39,6 +39,7 @@ E2 = HyperellipticModel.from_poly(X**3 + 1)  # y^2 = x^3 + 1, non-split
 G2 = HyperellipticModel.from_poly(
     X**5 - 10 * X**4 + 35 * X**3 - 50 * X**2 + 24 * X
 )  # y^2 = x(x-1)(x-2)(x-3)(x-4)
+G3 = HyperellipticModel.from_poly(X**7 - X + 1)  # non-split genus 3
 
 
 class TestModelValidation:
@@ -102,7 +103,7 @@ class TestBasis:
 
 class TestExpansion:
     def test_x_at_branch_has_valuation_two(self):
-        s = expand_at(E1, E1.x_fn(), Place.branch(0), 16)
+        s = expand_at(E1, E1.monomial(1, 0), Place.branch(0), 16)
         assert s.valuation == 2
         # t^2 = f(x(t)) must hold within the window
         f_of_x = (s * s * s) - s
@@ -112,23 +113,23 @@ class TestExpansion:
 
     def test_constant_expands_to_one(self):
         for place in (Place.branch(0), Place.infinity()):
-            s = expand_at(E1, E1.one(), place, 8)
+            s = expand_at(E1, E1.monomial(0, 0), place, 8)
             assert s.valuation == 0 and s.coefficient(0) == 1
 
     def test_x_at_infinity(self):
-        s = expand_at(G2, G2.x_fn(), Place.infinity(), 12)
+        s = expand_at(G2, G2.monomial(1, 0), Place.infinity(), 12)
         assert s.valuation == -2
         assert s.exact
 
     def test_y_at_infinity(self):
-        s = expand_at(G2, G2.y_fn(), Place.infinity(), 20)
+        s = expand_at(G2, G2.monomial(0, 1), Place.infinity(), 20)
         assert s.valuation == -5
         assert s.coefficient(-5) == 1
 
     def test_curve_equation_holds_at_ordinary_place(self):
         place = Place.ordinary(2, 3)
-        y = expand_at(E2, E2.y_fn(), place, 24)
-        x = expand_at(E2, E2.x_fn(), place, 24)
+        y = expand_at(E2, E2.monomial(0, 1), place, 24)
+        x = expand_at(E2, E2.monomial(1, 0), place, 24)
         lhs = y * y
         rhs = x * x * x + 1
         for e in range(0, 20):
@@ -145,7 +146,7 @@ class TestExpansion:
 
     def test_place_not_on_curve(self):
         with pytest.raises(NotOnCurveError):
-            expand_at(E1, E1.x_fn(), Place.branch(5), 8)
+            expand_at(E1, E1.monomial(1, 0), Place.branch(5), 8)
 
 
 class TestOrderSequences:
@@ -187,6 +188,64 @@ class TestOrderSequences:
                 assert seq.weight == model.genus + canonical_weight
 
 
+# Places of every kind: the split genus-2 branch places and infinity, on
+# y^2 = x^3 + 1 its rational branch place, infinity and an ordinary place,
+# and infinity on the non-split genus-3 curve.
+PRECISION_PLACES = [(G2, Place.branch(x0)) for x0 in range(5)] + [
+    (G2, Place.infinity()),
+    (E2, Place.branch(-1)),
+    (E2, Place.infinity()),
+    (E2, Place.ordinary(2, 3)),
+    (G3, Place.infinity()),
+]
+
+
+def _spy_expand_at(monkeypatch):
+    """Record the precision of every expansion order_sequence_at makes."""
+    import ramloci.curves as curves_mod
+
+    seen = []
+    real = curves_mod.expand_at
+
+    def spy(model, fn, place, precision):
+        seen.append(precision)
+        return real(model, fn, place, precision)
+
+    monkeypatch.setattr(curves_mod, "expand_at", spy)
+    return seen
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("i", range(0, 5))
+    def test_doubling_from_tiny_start_matches_default(self, monkeypatch, i):
+        import ramloci.curves as curves_mod
+
+        default = [
+            order_sequence_at(model, build_basis(model, i), place).orders
+            for model, place in PRECISION_PLACES
+        ]
+        seen = _spy_expand_at(monkeypatch)
+        monkeypatch.setattr(curves_mod, "start_precision", lambda g, i: 1)
+        for (model, place), orders in zip(PRECISION_PLACES, default):
+            basis = build_basis(model, i)
+            seen.clear()
+            assert order_sequence_at(model, basis, place).orders == orders
+            assert seen[0] == 1
+            # at infinity the pole orders of the basis are distinct, so the
+            # leading terms alone separate the orders; elsewhere one
+            # coefficient cannot tell two or more orders apart
+            if place.kind != "infinity" and len(basis) > 1:
+                assert max(seen) > 1
+
+    @pytest.mark.parametrize("i", range(0, 9))
+    def test_default_start_needs_no_doubling(self, monkeypatch, i):
+        seen = _spy_expand_at(monkeypatch)
+        for model, place in PRECISION_PLACES:
+            seen.clear()
+            order_sequence_at(model, build_basis(model, i), place)
+            assert set(seen) == {start_precision(model.genus, i)}
+
+
 class TestStaircase:
     def test_distinct_valuations(self):
         a = Series(0, [1, 2, 3, 4])
@@ -217,10 +276,10 @@ class TestStaircase:
 class TestWronskian:
     def test_two_dim_basis_gives_one(self):
         w = affine_wronskian(E1, build_basis(E1, 1))
-        assert w == E1.one()
+        assert w == E1.monomial(0, 0)
 
     def test_one_dim_basis_gives_one(self):
-        assert affine_wronskian(E1, build_basis(E1, 0)) == E1.one()
+        assert affine_wronskian(E1, build_basis(E1, 0)) == E1.monomial(0, 0)
 
     def test_second_derivative_case(self):
         # basis {1, x, y}: the wronskian is the second x-derivative of y,
@@ -233,7 +292,7 @@ class TestWronskian:
         # verify against the local expansion at an ordinary place: t = x - x0
         place = Place.ordinary(2, 3)
         direct = expand_at(E2, w, place, 16)
-        y_series = expand_at(E2, E2.y_fn(), place, 18)
+        y_series = expand_at(E2, E2.monomial(0, 1), place, 18)
         via_series = y_series.derivative().derivative()
         for e in range(0, 12):
             assert direct.coefficient(e) == via_series.coefficient(e)
@@ -340,7 +399,7 @@ class TestTotalWeight:
         assert report.total == g * (g + i) ** 2
         assert report.remainder >= 0
 
-    @pytest.mark.parametrize("i", range(0, 6))
+    @pytest.mark.parametrize("i", range(0, 9))
     def test_brill_segre_genus2(self, i):
         g = G2.genus
         report = total_weight(G2, i)
@@ -349,13 +408,26 @@ class TestTotalWeight:
         assert report.total == g * (g + i) ** 2
         assert report.remainder >= 0
 
+    @pytest.mark.parametrize("i", range(0, 6))
+    def test_brill_segre_genus3(self, i):
+        g = G3.genus
+        report = total_weight(G3, i)
+        r, d = g + i - 1, 2 * g - 1 + i
+        assert report.total == (r + 1) * (d + (g - 1) * r)
+        assert report.total == g * (g + i) ** 2
+        assert report.remainder >= 0
+
     def test_start_precision_policy(self):
-        assert start_precision(2, 3) == 4 * (2 * 25 + 6)
+        # d + 3 for the degree d = 2g - 1 + i of the twisted system
+        assert start_precision(2, 3) == 9
+        for g in range(1, 5):
+            for i in range(0, 9):
+                assert start_precision(g, i) == 2 * g + i + 2
 
 
 class TestDivisionPolynomials:
     def test_bases(self):
-        assert division_polynomial(E1, 1) == E1.one()
+        assert division_polynomial(E1, 1) == E1.monomial(0, 0)
         psi2 = division_polynomial(E1, 2)
         assert psi2.a == 0
         assert psi2.b == 2

@@ -117,6 +117,51 @@ class TestUniPoly:
         p = (x - Fraction(1, 2)) ** 2 * (x + 3)
         assert p.rational_roots() == [(Fraction(-3), 1), (Fraction(1, 2), 2)]
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.integers(-30, 30), min_size=2, max_size=8).filter(lambda cs: cs[-1]),
+        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=3),
+    )
+    def test_rational_roots_match_divisor_scan(self, cs, planted):
+        # plant some rational roots so that the property is not vacuous
+        p = UniPoly(cs)
+        for r in planted:
+            p = p * UniPoly([-r, 1])
+        assert p.rational_roots() == _rational_roots_by_divisors(p)
+
+    def test_rational_roots_large_constant_term(self):
+        x = UniPoly.x()
+        c = 10**30 + 1
+        assert (x**3 + c).rational_roots() == []
+        assert (x**3 - c**3).rational_roots() == [(Fraction(c), 1)]
+        p = (x - Fraction(c, 7)) ** 2 * (x + Fraction(3, c)) * (x**2 + c)
+        assert p.rational_roots() == [(Fraction(-3, c), 1), (Fraction(c, 7), 2)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rational_roots_match_sympy(self, seed):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(seed)
+        for _ in range(25):
+            factors = [
+                (Fraction(rng.randint(-40, 40), rng.randint(1, 9)), rng.randint(1, 3))
+                for _ in range(rng.randint(0, 3))
+            ]
+            p = UniPoly([rng.randint(-50, 50) or 1 for _ in range(rng.randint(1, 4))])
+            for r, m in factors:
+                p = p * UniPoly([-r, 1]) ** m
+            if p.degree < 1:
+                continue
+            expr = sum(
+                sympy.Rational(c.numerator, c.denominator) * x**k
+                for k, c in enumerate(p.coeffs)
+            )
+            expected = sorted(
+                (Fraction(int(r.p), int(r.q)), m)
+                for r, m in sympy.Poly(expr, x).ground_roots().items()
+            )
+            assert p.rational_roots() == expected
+
     def test_root_multiplicity(self):
         x = UniPoly.x()
         p = (x - 1) ** 2 * (x + 1)
@@ -242,6 +287,31 @@ class TestSeries:
         assert out.coefficient(2) == 1
         assert out.coefficient(3) == 2
         assert out.coefficient(4) == 1
+
+
+def _rational_roots_by_divisors(p: UniPoly):
+    """Reference: rational root theorem, trying every +-num/den with num
+    dividing the constant term and den the leading coefficient."""
+
+    def divisors(n):
+        return [d for d in range(1, n + 1) if n % d == 0]
+
+    roots = []
+    k = 0
+    while p.coeffs[0] == 0:
+        p = UniPoly(p.coeffs[1:])
+        k += 1
+    if k:
+        roots.append((Fraction(0), k))
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    for num in divisors(abs(ints[0])):
+        for d in divisors(abs(ints[-1])):
+            for cand in {Fraction(num, d), Fraction(-num, d)}:
+                m = p.root_multiplicity(cand)
+                if m and (cand, m) not in roots:
+                    roots.append((cand, m))
+    return sorted(roots)
 
 
 def _random_matrix(rng, n):
