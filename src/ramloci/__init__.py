@@ -42,7 +42,6 @@ from .formulas import (
     CertificationReport,
     ClosedForm,
     certify,
-    identity_suite,
     run_suite,
 )
 from .numeric import (
@@ -88,7 +87,6 @@ __all__ = [
     "CertificationReport",
     "ClosedForm",
     "certify",
-    "identity_suite",
     "run_suite",
     "ParamPoly",
     "Rational",

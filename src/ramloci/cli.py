@@ -1,16 +1,17 @@
 """Command-line front end: parse curves, run suites, emit reports.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 usage or
-configuration error, 3 inconclusive (precision cap or an internal
-consistency stop).  Output is byte-deterministic for a fixed
-configuration: stable case order, canonical "p/q" rationals, no
-timestamps.
+configuration error or a closed standard output, 3 inconclusive
+(precision cap or an internal consistency stop).  Output is
+byte-deterministic for a fixed configuration: stable case order,
+canonical "p/q" rationals, no timestamps.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -465,13 +466,20 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "verify":
-            return cmd_verify(args, out)
-        return cmd_curve(args, out)
+        code = cmd_verify(args, out) if args.command == "verify" else cmd_curve(args, out)
+        out.flush()
+        return code
     except RamlociError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         if isinstance(exc, (InconclusiveError, InternalCheckError)):
             return 3
+        return 2
+    except BrokenPipeError:
+        print("error[output]: the reader closed standard output", file=sys.stderr)
+        if out is sys.stdout:
+            # The interpreter flushes stdout again at exit; send that
+            # flush to devnull so it cannot raise a second time.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -353,15 +353,14 @@ def _local_frame(model: HyperellipticModel, place: Place, prec: int):
 def expand_at(model: HyperellipticModel, fn, place: Place, precision: int) -> Series:
     """Laurent expansion in the canonical local parameter of the place.
 
-    ``fn`` is a CurveFunction, or the sentinel ``DX_OVER_Y`` (also the
-    string "dx/y") for the distinguished differential expanded against
-    dt.
+    ``fn`` is a CurveFunction, or the sentinel ``DX_OVER_Y`` for the
+    distinguished differential expanded against dt.
     """
     if precision < 1:
         raise ValueError("precision must be positive")
     model.check_place(place)
     x, y, dxdt, y_inv = _local_frame(model, place, precision)
-    if fn is DX_OVER_Y or (isinstance(fn, str) and fn == "dx/y"):
+    if fn is DX_OVER_Y:
         return dxdt * y_inv
     if not isinstance(fn, CurveFunction):
         raise TypeError(f"cannot expand {fn!r}")
@@ -543,17 +542,11 @@ def ord_at_branch(model: HyperellipticModel, fn: CurveFunction, x0) -> int:
 
 def _multiplicity_sum_on_branch(p: UniPoly, f: UniPoly) -> int:
     """Sum over all roots of f (f squarefree) of the multiplicity of the
-    root in p, computed by repeated gcd extraction."""
+    root in p: the degree that stripping f's factors removes from p."""
     if p.is_zero():
+        # 0.gcd(f) is f, so stripping the zero polynomial never ends
         raise ValueError("zero polynomial")
-    total = 0
-    q = p
-    while True:
-        shared = q.gcd(f)
-        if shared.degree <= 0:
-            return total
-        total += shared.degree
-        q = q.exact_div(shared)
+    return p.degree - _strip_branch_factors(p, f).degree
 
 
 def branch_ord_total(model: HyperellipticModel, fn: CurveFunction) -> int:

@@ -6,6 +6,11 @@ form *as a polynomial identity* by deterministic grid evaluation: two
 polynomials of per-variable degree at most d that agree on a grid with
 more than d points per variable are equal.
 
+The engine side is one memoised record per grid point
+(``engine_values``): the ring, the Weierstrass class, the jet Chern
+class, the Porteous class and the special-ramification class are built
+once, and every grid case reads its value from that record.
+
 Degree audit
 ------------
 Every engine quantity certified here is an integral of a product of at
@@ -17,15 +22,19 @@ pushforward-c1 recursion), so each coefficient is a polynomial in
 contribute another factor quadratic in g.  Hence every certified
 quantity is a polynomial of per-variable degree at most 6.  All closed
 forms declare the safe bound 8, so certification demands at least a
-9 x 9 grid.
+9 x 9 grid.  A test pins the audit empirically: finite differences of
+every engine quantity over g 1..14 x i 0..13 vanish from order 7 on
+(the measured degree is at most 4).
 """
 
 from __future__ import annotations
 
 import fnmatch
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .bundles import jet_chern, moving_locus_class, special_ramification_class
 from .chow import DELTA, ChowRing, chow_integrate, chow_mul, weierstrass_class
@@ -227,141 +236,98 @@ def certify_symbolic(name: str, lhs: ParamPoly, rhs: ParamPoly, anchor: str) -> 
 
 
 # ---------------------------------------------------------------------------
-# Engine quantities: every callable maps concrete (g, i) to an exact value
+# Engine quantities: one exact record per grid point, derived from the
+# Chow ring and the bundle calculus independently of the closed forms
+
+# Largest verify grid (16 x 17 points), so a full run never evicts.
+ENGINE_CACHE_SIZE = 272
 
 
-def engine_w_class_k1(g: int, i: int) -> Fraction:
-    return weierstrass_class(ChowRing(g), i).cK1
+@functools.lru_cache(maxsize=ENGINE_CACHE_SIZE)
+def engine_values(g: int, i: int) -> Mapping[str, Fraction]:
+    """Every engine quantity at (g, i), keyed by its closed-form name.
 
-
-def engine_w_class_k2(g: int, i: int) -> Fraction:
-    return weierstrass_class(ChowRing(g), i).cK2
-
-
-def engine_w_class_delta(g: int, i: int) -> Fraction:
-    return weierstrass_class(ChowRing(g), i).cDelta
-
-
-def engine_jet_c1_k2(g: int, i: int) -> Fraction:
+    The record is memoised across suite runs, so each grid point builds
+    its classes once; it is read-only because the cache shares it.
+    """
     ring = ChowRing(g)
-    return jet_chern(ring, i, g + i).c1.cK2
-
-
-def engine_jet_c1_delta(g: int, i: int) -> Fraction:
-    ring = ChowRing(g)
-    return jet_chern(ring, i, g + i).c1.cDelta
-
-
-def engine_jet_c2_point(g: int, i: int) -> Fraction:
-    ring = ChowRing(g)
-    return chow_integrate(ring, jet_chern(ring, i, g + i).c2)
-
-
-def engine_sw_degree(g: int, i: int) -> Fraction:
-    ring = ChowRing(g)
-    return chow_integrate(ring, special_ramification_class(ring, i))
-
-
-def engine_e_plus_degree(g: int, i: int) -> Fraction:
-    ring = ChowRing(g)
-    return chow_integrate(ring, moving_locus_class(ring, i))
-
-
-def engine_w_delta(g: int, i: int) -> Fraction:
-    ring = ChowRing(g)
-    return chow_integrate(ring, chow_mul(ring, weierstrass_class(ring, i), DELTA))
-
-
-def engine_e_degree(g: int, i: int) -> Fraction:
-    """Moving pairs off the diagonal: the Porteous count minus the weight
-    (g+1) carried by each of the transversal diagonal intersections."""
-    return engine_e_plus_degree(g, i) - (g + 1) * engine_w_delta(g, i)
-
-
-def engine_d_degree(g: int, i: int) -> Fraction:
-    return engine_sw_degree(g, i) - engine_e_degree(g, i)
+    w = weierstrass_class(ring, i)
+    jets = jet_chern(ring, i, g + i)
+    w_delta = chow_integrate(ring, chow_mul(ring, w, DELTA))
+    sw = chow_integrate(ring, special_ramification_class(ring, i))
+    e_plus = chow_integrate(ring, moving_locus_class(ring, i))
+    # moving pairs off the diagonal: the Porteous count minus the weight
+    # (g+1) carried by each of the transversal diagonal intersections
+    e = e_plus - (g + 1) * w_delta
+    return MappingProxyType(
+        {
+            "W_class_K1": w.cK1,
+            "W_class_K2": w.cK2,
+            "W_class_Delta": w.cDelta,
+            "W_delta_transversality": w_delta,
+            "jet_c1_K2": jets.c1.cK2,
+            "jet_c1_Delta": jets.c1.cDelta,
+            "jet_c2_point": chow_integrate(ring, jets.c2),
+            "E_plus_degree": e_plus,
+            "SW_degree": sw,
+            "E_degree": e,
+            "D_degree": sw - e,
+        }
+    )
 
 
 # ---------------------------------------------------------------------------
-# Case registry (order is the canonical report order)
+# Case registry: name -> runner(g_range, i_range), in canonical report order
+
+Runner = Callable[[Sequence[int], Sequence[int]], CertificationReport]
 
 
-@dataclass(frozen=True)
-class Case:
-    name: str
-    kind: str  # "grid" | "symbolic"
-    runner: Callable[[Sequence[int], Sequence[int]], CertificationReport]
-
-
-def _grid_case(name: str, engine_fn, form_name: str) -> Case:
-    form = CLOSED_FORMS[form_name]
-
+def _grid_case(name: str) -> Runner:
     def run(g_range, i_range):
-        return certify(name, engine_fn, form, g_range, i_range)
+        return certify(
+            name, lambda g, i: engine_values(g, i)[name], CLOSED_FORMS[name], g_range, i_range
+        )
 
-    return Case(name, "grid", run)
+    return run
 
 
-def _symbolic_case(name: str, lhs_fn, rhs_fn, anchor: str) -> Case:
+def _symbolic_case(name: str, lhs: ParamPoly, rhs: ParamPoly, anchor: str) -> Runner:
     def run(g_range, i_range):
-        return certify_symbolic(name, lhs_fn(), rhs_fn(), anchor)
+        return certify_symbolic(name, lhs, rhs, anchor)
 
-    return Case(name, "symbolic", run)
-
-
-def _identity_a_sides():
-    lhs = CLOSED_FORMS["SW_degree"].expr
-    rhs = CLOSED_FORMS["D_degree"].expr + CLOSED_FORMS["E_degree"].expr
-    return lhs, rhs
+    return run
 
 
-def _identity_b_sides():
-    lhs = CLOSED_FORMS["E_plus_degree"].expr
-    rhs = CLOSED_FORMS["E_degree"].expr + (_G + 1) * (_G**3 - _G)
-    return lhs, rhs
+_GRID_CASES = (
+    "W_class_K1",
+    "W_class_K2",
+    "W_class_Delta",
+    "W_delta_transversality",
+    "jet_c1_K2",
+    "jet_c1_Delta",
+    "jet_c2_point",
+    "E_plus_degree",
+    "SW_degree",
+    "E_degree",
+    "D_degree",
+)
 
-
-CASES: dict[str, Case] = {
-    c.name: c
-    for c in [
-        _grid_case("W_class_K1", engine_w_class_k1, "W_class_K1"),
-        _grid_case("W_class_K2", engine_w_class_k2, "W_class_K2"),
-        _grid_case("W_class_Delta", engine_w_class_delta, "W_class_Delta"),
-        _grid_case("W_delta_transversality", engine_w_delta, "W_delta_transversality"),
-        _grid_case("jet_c1_K2", engine_jet_c1_k2, "jet_c1_K2"),
-        _grid_case("jet_c1_Delta", engine_jet_c1_delta, "jet_c1_Delta"),
-        _grid_case("jet_c2_point", engine_jet_c2_point, "jet_c2_point"),
-        _grid_case("E_plus_degree", engine_e_plus_degree, "E_plus_degree"),
-        _grid_case("SW_degree", engine_sw_degree, "SW_degree"),
-        _grid_case("E_degree", engine_e_degree, "E_degree"),
-        _grid_case("D_degree", engine_d_degree, "D_degree"),
-        _symbolic_case(
-            "identity_a",
-            lambda: _identity_a_sides()[0],
-            lambda: _identity_a_sides()[1],
-            "special-ramification count splits as effective plus moving pairs",
-        ),
-        _symbolic_case(
-            "identity_b",
-            lambda: _identity_b_sides()[0],
-            lambda: _identity_b_sides()[1],
-            "Porteous count exceeds the moving-pair count by (g+1)(g^3-g)",
-        ),
-    ]
-}
+CASES: dict[str, Runner] = {name: _grid_case(name) for name in _GRID_CASES}
+CASES["identity_a"] = _symbolic_case(
+    "identity_a",
+    CLOSED_FORMS["SW_degree"].expr,
+    CLOSED_FORMS["D_degree"].expr + CLOSED_FORMS["E_degree"].expr,
+    "special-ramification count splits as effective plus moving pairs",
+)
+CASES["identity_b"] = _symbolic_case(
+    "identity_b",
+    CLOSED_FORMS["E_plus_degree"].expr,
+    CLOSED_FORMS["E_degree"].expr + (_G + 1) * (_G**3 - _G),
+    "Porteous count exceeds the moving-pair count by (g+1)(g^3-g)",
+)
 
 DEFAULT_G_RANGE = range(1, 10)
 DEFAULT_I_RANGE = range(0, 9)
-
-
-def identity_suite(
-    g_range: Sequence[int] = DEFAULT_G_RANGE,
-    i_range: Sequence[int] = DEFAULT_I_RANGE,
-) -> list[CertificationReport]:
-    """The two symbolic splitting identities plus the coefficientwise
-    certification of the derived Weierstrass divisor class."""
-    names = ["identity_a", "identity_b", "W_class_K1", "W_class_K2", "W_class_Delta"]
-    return [CASES[n].runner(g_range, i_range) for n in names]
 
 
 def run_suite(
@@ -374,4 +340,4 @@ def run_suite(
     names = [
         n for n in CASES if name_filter is None or fnmatch.fnmatchcase(n, name_filter)
     ]
-    return [CASES[n].runner(g_range, i_range) for n in names]
+    return [CASES[n](g_range, i_range) for n in names]

@@ -347,12 +347,6 @@ class UniPoly:
                     rem[k + j] -= c * oc
         return UniPoly(quo), UniPoly(rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def exact_div(self, other) -> "UniPoly":
         """Quotient self/other, raising if the division is not exact."""
         q, r = divmod(self, other)
@@ -613,10 +607,6 @@ class Series:
     def monomial(cls, e: int, c=1) -> "Series":
         return cls(e, [c], exact=True)
 
-    @classmethod
-    def from_coeffs(cls, lead: int, coeffs, exact: bool = False) -> "Series":
-        return cls(lead, coeffs, exact)
-
     # -- structure
 
     @property
@@ -661,15 +651,6 @@ class Series:
 
     def __hash__(self):
         return hash((self.lead, self.coeffs, self.exact))
-
-    def truncate(self, up_to: int) -> "Series":
-        """Forget all coefficients at exponent >= up_to."""
-        if up_to >= self.known_up_to:
-            return self
-        n = up_to - self.lead
-        if n <= 0:
-            return Series(up_to, ())
-        return Series(self.lead, self.coeffs[:n])
 
     # -- arithmetic
 

@@ -21,7 +21,7 @@ from ramloci.curves import (
     total_weight,
 )
 from ramloci.errors import GridInsufficientError, InconclusiveError
-from ramloci.formulas import CLOSED_FORMS, certify, engine_sw_degree, run_suite
+from ramloci.formulas import CLOSED_FORMS, certify, engine_values, run_suite
 from ramloci.numeric import (
     Series,
     bareiss_det,
@@ -74,7 +74,7 @@ def test_c2_special_ramification_degree():
     with _Timer(1.0) as t:
         report = certify(
             "SW_degree",
-            engine_sw_degree,
+            lambda g, i: engine_values(g, i)["SW_degree"],
             CLOSED_FORMS["SW_degree"],
             G_RANGE,
             I_RANGE,
@@ -213,7 +213,7 @@ def test_c8_property_suites():
         with pytest.raises(GridInsufficientError):
             certify(
                 "SW_degree",
-                engine_sw_degree,
+                lambda g, i: engine_values(g, i)["SW_degree"],
                 CLOSED_FORMS["SW_degree"],
                 range(1, 3),
                 range(0, 2),

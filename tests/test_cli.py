@@ -185,14 +185,14 @@ class TestVerifyCommand:
         def broken_runner(g_range, i_range):
             return certify(
                 "SW_degree",
-                formulas.engine_sw_degree,
+                lambda g, i: formulas.engine_values(g, i)["SW_degree"],
                 broken_form,
                 g_range,
                 i_range,
             )
 
         patched = dict(formulas.CASES)
-        patched["SW_degree"] = formulas.Case("SW_degree", "grid", broken_runner)
+        patched["SW_degree"] = broken_runner
         monkeypatch.setattr(formulas, "CASES", patched)
         code, text = run_cli("verify", "--format", "json")
         assert code == 1
@@ -324,6 +324,31 @@ class TestCurveCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["total"] == 4
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_output_error(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails
+        src = str(Path(ramloci.__file__).resolve().parents[1])
+        # Buffered stdout fails only at a flush, unbuffered at the first write.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ramloci", "curve", "weights", "y^2 = x^3 - x",
+                 "--i", "1", "--format", "json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        _assert_one_error_line(proc, "output")
+        assert "Exception ignored" not in proc.stderr
 
     def test_weights_json_deterministic(self):
         args = ("curve", "weights", "y^2 = x^3 + 1", "--i", "2", "--format", "json")

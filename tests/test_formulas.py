@@ -2,20 +2,24 @@ import json
 
 import pytest
 
+from ramloci import formulas
 from ramloci.errors import GridInsufficientError
 from ramloci.formulas import (
     CASES,
     CLOSED_FORMS,
     ClosedForm,
     certify,
-    engine_sw_degree,
-    identity_suite,
+    engine_values,
     run_suite,
 )
 from ramloci.numeric import ParamPoly, poly_eval
 
 G = ParamPoly.g()
 I = ParamPoly.i()
+
+
+def _sw_degree(g, i):
+    return engine_values(g, i)["SW_degree"]
 
 
 class TestClosedForms:
@@ -48,7 +52,7 @@ class TestCertify:
     def test_sw_degree_passes(self):
         report = certify(
             "SW_degree",
-            engine_sw_degree,
+            _sw_degree,
             CLOSED_FORMS["SW_degree"],
             range(1, 10),
             range(0, 9),
@@ -62,7 +66,7 @@ class TestCertify:
         broken = ClosedForm(
             "broken", CLOSED_FORMS["SW_degree"].expr + 1, (8, 8), "control case"
         )
-        report = certify("broken", engine_sw_degree, broken, range(1, 10), range(0, 9))
+        report = certify("broken", _sw_degree, broken, range(1, 10), range(0, 9))
         assert not report.verdict
         g, i, engine, closed = report.failures[0]
         assert (g, i) == (1, 0)
@@ -72,7 +76,7 @@ class TestCertify:
         with pytest.raises(GridInsufficientError):
             certify(
                 "SW_degree",
-                engine_sw_degree,
+                _sw_degree,
                 CLOSED_FORMS["SW_degree"],
                 range(1, 3),
                 range(0, 2),
@@ -82,7 +86,7 @@ class TestCertify:
         with pytest.raises(GridInsufficientError):
             certify(
                 "SW_degree",
-                engine_sw_degree,
+                _sw_degree,
                 CLOSED_FORMS["SW_degree"],
                 range(1, 9),  # 8 points: not more than the declared bound 8
                 range(0, 9),
@@ -91,7 +95,9 @@ class TestCertify:
 
 class TestIdentitySuite:
     def test_all_pass(self):
-        for report in identity_suite():
+        names = ["identity_a", "identity_b", "W_class_K1", "W_class_K2", "W_class_Delta"]
+        for name in names:
+            (report,) = run_suite(name_filter=name)
             assert report.verdict, report.name
 
     def test_identity_a_evaluated(self):
@@ -157,3 +163,46 @@ class TestSuiteRunner:
         assert doc["grid_size"] is None
         assert doc["degree_bound"] is None
         assert doc["verdict"] == "pass"
+
+
+class TestEngineRecord:
+    def test_one_jet_chern_call_per_grid_point_across_runs(self, monkeypatch):
+        calls = []
+        real = formulas.jet_chern
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(formulas, "jet_chern", counting)
+        engine_values.cache_clear()
+        run_suite()
+        run_suite()
+        assert len(calls) == 81
+
+    def test_cache_holds_the_largest_verify_grid(self):
+        from ramloci.cli import MAX_VERIFY_G, MAX_VERIFY_I
+
+        assert formulas.ENGINE_CACHE_SIZE >= MAX_VERIFY_G * (MAX_VERIFY_I + 1)
+
+    def test_record_is_read_only(self):
+        with pytest.raises(TypeError):
+            engine_values(2, 1)["SW_degree"] = 0
+
+    def test_degree_audit(self):
+        """Every engine quantity has per-variable degree at most 6 (the
+        audit in the module docstring): its 7th finite differences in g
+        and in i vanish on g 1..14 x i 0..13."""
+
+        def diff(values, order):
+            for _ in range(order):
+                values = [b - a for a, b in zip(values, values[1:])]
+            return values
+
+        for name in engine_values(1, 0):
+            for i in range(14):
+                column = [engine_values(g, i)[name] for g in range(1, 15)]
+                assert not any(diff(column, 7)), (name, "g", i)
+            for g in range(1, 15):
+                row = [engine_values(g, i)[name] for i in range(14)]
+                assert not any(diff(row, 7)), (name, "i", g)
