@@ -2,26 +2,31 @@
 
 Covers the three ingredients the counting formulas need: first Chern
 classes of the pushforwards of the twisted relative canonical bundles
-(by the short-exact-sequence recursion), total Chern classes of the
-relative jet bundles (as explicit truncation-filtration products), and
-the Porteous class of an expected-codimension-2, rank-drop-1 degeneracy
-locus.  Everything is specialised to a concrete genus through a
-``ChowRing``.
+(``pushforward_c1``, defined in ``chow`` next to the Weierstrass class
+that uses it), total Chern classes of the relative jet bundles (as
+power sums over their truncation filtration), and the Porteous class of
+an expected-codimension-2, rank-drop-1 degeneracy locus.  Everything is
+specialised through a ``ChowRing``, either to a concrete genus or to
+the formal genus g, with the twist i and the jet order concrete or
+formal to match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .chow import (
     DELTA,
-    K1,
     K2,
     ChowClass,
     ChowRing,
+    check_nonnegative,
     chow_mul,
+    jet_c1,
+    power_sum,
+    pushforward_c1,
     weierstrass_class,
-    _pushforward_c1_coeff,
 )
 
 
@@ -64,32 +69,22 @@ class ChernPoly:
         return ChernPoly(self.ring, c1=-self.c1, c2=sq - self.c2)
 
 
-def pushforward_c1(ring: ChowRing, j: int) -> ChowClass:
-    """First Chern class (pulled back to C x C) of the pushforward of the
-    j-twisted relative canonical bundle.
-
-    Built by iterating the recursion step c1 -> c1 + (1-(j+1)) K1 from
-    the free bundle at j = 0; comes out as -(1/2)j(j+1) K1.
-    """
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    return _pushforward_c1_coeff(j) * K1
-
-
-def jet_chern(ring: ChowRing, i: int, ell: int) -> ChernPoly:
+def jet_chern(ring: ChowRing, i, ell) -> ChernPoly:
     """Total Chern class of the order-ell relative jet bundle of the
     (i+1)-fold diagonal twist of the relative canonical bundle.
 
-    Computed as the truncation-filtration product of ell+1 line-bundle
-    factors with first Chern classes m*K2 + (i+1)*Delta, m = 1..ell+1.
+    The truncation filtration has n = ell+1 line-bundle factors
+    a_m = m*K2 + (i+1)*Delta, m = 1..n, so c1 = sum a_m and
+    c2 = (c1^2 - sum a_m^2)/2.  With S1 = n(n+1)/2, c1 = S1*K2 +
+    n*(i+1)*Delta, and as K2^2 = 0 the squares sum to
+    (i+1)*Delta*(2*S1*K2 + n*(i+1)*Delta) = (i+1)*Delta*(c1 + S1*K2),
+    which holds for a formal length n as well.
     """
-    if i < 0 or ell < 0:
-        raise ValueError("i and ell must be nonnegative")
-    total = ChernPoly.trivial(ring)
-    for m in range(1, ell + 2):
-        factor = ChernPoly.of_line_bundle(ring, m * K2 + (i + 1) * DELTA)
-        total = total * factor
-    return total
+    check_nonnegative(i=i, ell=ell)
+    c1 = jet_c1(i, ell)
+    squares = chow_mul(ring, (i + 1) * DELTA, c1 + power_sum(ell + 1) * K2)
+    c2 = (chow_mul(ring, c1, c1) - squares).scale(Fraction(1, 2))
+    return ChernPoly(ring, c1=c1, c2=c2)
 
 
 def porteous_c2(a: ChernPoly, b: ChernPoly) -> ChowClass:
@@ -101,14 +96,14 @@ def porteous_c2(a: ChernPoly, b: ChernPoly) -> ChowClass:
     return (a * b.inverse()).c2
 
 
-def moving_locus_class(ring: ChowRing, i: int) -> ChowClass:
+def moving_locus_class(ring: ChowRing, i, jets: ChernPoly | None = None) -> ChowClass:
     """Porteous class of the pairs (P, Q), diagonal included, where the
     twisted system at P has extra sections vanishing to high order at Q
-    (a moving effective divisor condition)."""
-    if i < 0:
-        raise ValueError("i must be nonnegative")
-    g = ring.genus
-    jets = jet_chern(ring, i, g + i)
+    (a moving effective divisor condition).  ``jets`` is the caller's
+    jet_chern(ring, i, g+i), if it already has it."""
+    check_nonnegative(i=i)
+    if jets is None:
+        jets = jet_chern(ring, i, ring.genus + i)
     pulled_back = ChernPoly.of_line_bundle(ring, pushforward_c1(ring, i))
     return porteous_c2(jets, pulled_back)
 
@@ -117,7 +112,5 @@ def special_ramification_class(ring: ChowRing, i: int) -> ChowClass:
     """Class of the special-ramification locus: c2 of the rank-2 bundle
     of first-order relative jets with coefficients in the i-th
     Weierstrass divisor, i.e. W * (K2 + W)."""
-    if i < 0:
-        raise ValueError("i must be nonnegative")
     w = weierstrass_class(ring, i)
     return chow_mul(ring, w, K2 + w)

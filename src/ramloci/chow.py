@@ -1,4 +1,4 @@
-"""Intersection ring of the square C x C of a curve of fixed genus.
+"""Intersection ring of the square C x C of a curve of genus g.
 
 Classes are stored by their five coordinates in the basis
 
@@ -16,38 +16,37 @@ curve of genus g:
 
 Degree-3 parts vanish identically on a surface, so the type has no slot
 for them.  All values are immutable.
+
+The coefficients may come from any commutative ring that mixes with the
+integers: ``int``/``Fraction`` for a concrete genus, or ``ParamPoly``
+for the generic ring whose genus is the formal parameter g, where every
+coefficient and intersection number is a polynomial in (g, i).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any
+
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
 class ChowClass:
     """Graded class c0*1 + cK1*K1 + cK2*K2 + cDelta*Delta + cPt*pt."""
 
-    c0: Fraction = Fraction(0)
-    cK1: Fraction = Fraction(0)
-    cK2: Fraction = Fraction(0)
-    cDelta: Fraction = Fraction(0)
-    cPt: Fraction = Fraction(0)
+    c0: Any = 0
+    cK1: Any = 0
+    cK2: Any = 0
+    cDelta: Any = 0
+    cPt: Any = 0
 
-    def __post_init__(self):
-        for f in ("c0", "cK1", "cK2", "cDelta", "cPt"):
-            v = getattr(self, f)
-            if type(v) is not Fraction:
-                object.__setattr__(self, f, Fraction(v))
+    def coords(self) -> tuple:
+        return (self.c0, self.cK1, self.cK2, self.cDelta, self.cPt)
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
-        return ChowClass(
-            self.c0 + other.c0,
-            self.cK1 + other.cK1,
-            self.cK2 + other.cK2,
-            self.cDelta + other.cDelta,
-            self.cPt + other.cPt,
-        )
+        return ChowClass(*(a + b for a, b in zip(self.coords(), other.coords())))
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
         return self + (-other)
@@ -56,38 +55,27 @@ class ChowClass:
         return self.scale(-1)
 
     def scale(self, c) -> "ChowClass":
-        c = Fraction(c)
-        return ChowClass(
-            c * self.c0, c * self.cK1, c * self.cK2, c * self.cDelta, c * self.cPt
-        )
+        return ChowClass(*(c * v for v in self.coords()))
 
     def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
+        if isinstance(c, ChowClass):
+            return NotImplemented
+        return self.scale(c)
 
     def degree1_part(self) -> "ChowClass":
         return ChowClass(0, self.cK1, self.cK2, self.cDelta, 0)
 
     def is_zero(self) -> bool:
-        return not any((self.c0, self.cK1, self.cK2, self.cDelta, self.cPt))
+        return not any(self.coords())
 
     def __repr__(self):
         parts = []
-        for coeff, name in (
-            (self.c0, "1"),
-            (self.cK1, "K1"),
-            (self.cK2, "K2"),
-            (self.cDelta, "Delta"),
-            (self.cPt, "pt"),
-        ):
+        for coeff, name in zip(self.coords(), ("1", "K1", "K2", "Delta", "pt")):
             if coeff:
                 parts.append(f"{coeff}*{name}" if coeff != 1 else name)
         return " + ".join(parts) if parts else "0"
 
 
-ZERO = ChowClass()
-ONE = ChowClass(c0=1)
 K1 = ChowClass(cK1=1)
 K2 = ChowClass(cK2=1)
 DELTA = ChowClass(cDelta=1)
@@ -96,20 +84,28 @@ PT = ChowClass(cPt=1)
 
 @dataclass(frozen=True)
 class ChowRing:
-    """The intersection ring for a concrete genus g >= 1."""
+    """The intersection ring for a concrete genus g >= 1, or for the
+    formal genus ``ParamPoly.g()``."""
 
-    genus: int
+    genus: Any
 
     def __post_init__(self):
-        if self.genus < 1:
+        if isinstance(self.genus, int) and self.genus < 1:
             raise ValueError("genus must be at least 1")
+
+
+def check_nonnegative(**indices) -> None:
+    """Reject a negative concrete index; formal indices pass."""
+    for name, value in indices.items():
+        if isinstance(value, int) and value < 0:
+            raise ValueError(f"{name} must be nonnegative")
 
 
 def chow_mul(ring: ChowRing, a: ChowClass, b: ChowClass) -> ChowClass:
     """Bilinear product reduced by the genus-g intersection relations."""
     g = ring.genus
-    kk = Fraction(4 * (g - 1) ** 2)
-    kd = Fraction(2 * g - 2)
+    kk = 4 * (g - 1) ** 2
+    kd = 2 * g - 2
     deg2 = (
         (a.cK1 * b.cK2 + a.cK2 * b.cK1) * kk
         + (a.cK1 * b.cDelta + a.cDelta * b.cK1) * kd
@@ -125,34 +121,42 @@ def chow_mul(ring: ChowRing, a: ChowClass, b: ChowClass) -> ChowClass:
     )
 
 
-def chow_integrate(ring: ChowRing, a: ChowClass) -> Fraction:
+def chow_integrate(ring: ChowRing, a: ChowClass):
     """Degree of the 0-cycle part: the coefficient of the point class."""
     return a.cPt
 
 
-def _pushforward_c1_coeff(j: int) -> Fraction:
-    """K1-coefficient of c1 of the pushforward of the j-twisted relative
-    canonical bundle, built by iterating the short-exact-sequence
-    recursion step c1 -> c1 + (1-(m+1)) K1 from the free case at m=0."""
-    c = Fraction(0)
-    for m in range(1, j + 1):
-        c += 1 - (m + 1)
-    return c
+def power_sum(n):
+    """1 + 2 + ... + n, for a concrete or a formal n."""
+    return n * (n + 1) * _HALF
 
 
-def weierstrass_class(ring: ChowRing, j: int) -> ChowClass:
+def pushforward_c1(ring: ChowRing, j) -> ChowClass:
+    """First Chern class (pulled back to C x C) of the pushforward of the
+    j-twisted relative canonical bundle.
+
+    The recursion steps c1 -> c1 - m K1, m = 1..j, from the free bundle
+    at j = 0 sum to -(1/2)j(j+1) K1.
+    """
+    check_nonnegative(j=j)
+    return -power_sum(j) * K1
+
+
+def jet_c1(i, ell) -> ChowClass:
+    """First Chern class of the order-ell relative jet bundle of the
+    (i+1)-fold diagonal twist of the relative canonical bundle: the sum
+    of its n = ell+1 filtration factors m*K2 + (i+1)*Delta, m = 1..n."""
+    n = ell + 1
+    return power_sum(n) * K2 + (n * (i + 1)) * DELTA
+
+
+def weierstrass_class(ring: ChowRing, j) -> ChowClass:
     """Class of the j-th Weierstrass divisor of the family of twisted
     canonical systems, as a divisor on C x C.
 
-    Equals (1/2)(g+j)(g+j+1) K2 + j(g+j+1) Delta + (1/2)j(j+1) K1; the
-    K1 part enters through the recursion-derived first Chern class of
-    the pushforward bundle, not by quoting the closed form.
+    Derived as W_j = c1(J^{g+j-1}) - c1(E_j) - g*Delta: the wronskian of
+    the evaluation map from the pushforward E_j to the jet bundle of
+    order g+j-1, which vanishes on the diagonal with weight exactly g.
     """
-    if j < 0:
-        raise ValueError("j must be nonnegative")
     g = ring.genus
-    return ChowClass(
-        cK2=Fraction((g + j) * (g + j + 1), 2),
-        cDelta=Fraction(j * (g + j + 1)),
-        cK1=-_pushforward_c1_coeff(j),
-    )
+    return jet_c1(j, g + j - 1) - pushforward_c1(ring, j) - g * DELTA

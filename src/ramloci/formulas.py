@@ -1,38 +1,22 @@
 """Closed-form counts in (g, i) and the certification machinery.
 
-Each counting formula is stored fully expanded as a ``ParamPoly``; a
-``certify`` run proves that an engine-computed quantity equals a closed
-form *as a polynomial identity* by deterministic grid evaluation: two
-polynomials of per-variable degree at most d that agree on a grid with
-more than d points per variable are equal.
-
-The engine side is one memoised record per grid point
-(``engine_values``): the ring, the Weierstrass class, the jet Chern
-class, the Porteous class and the special-ramification class are built
-once, and every grid case reads its value from that record.
-
-Degree audit
-------------
-Every engine quantity certified here is an integral of a product of at
-most two degree-1 classes on the square of the curve.  The class
-coefficients are built from index sums of length at most g+i+2 whose
-summands are quadratic in the index (jet truncation products, the
-pushforward-c1 recursion), so each coefficient is a polynomial in
-(g, i) of per-variable degree at most 4; the intersection relations
-contribute another factor quadratic in g.  Hence every certified
-quantity is a polynomial of per-variable degree at most 6.  All closed
-forms declare the safe bound 8, so certification demands at least a
-9 x 9 grid.  A test pins the audit empirically: finite differences of
-every engine quantity over g 1..14 x i 0..13 vanish from order 7 on
-(the measured degree is at most 4).
+Each counting formula is stored fully expanded as a ``ParamPoly``.  The
+engine side runs the Chow-ring and bundle calculus once over the generic
+ring, whose genus is the formal parameter g and whose coefficients are
+polynomials in (g, i), so every engine quantity comes out as a
+``ParamPoly`` too.  A ``certify`` run proves engine == closed form by
+exact equality of the two expanded polynomials.  Its report keeps the
+grid view: both polynomials evaluated at every grid point, with the
+points where they differ listed as failures.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -149,9 +133,10 @@ _register(
 class CertificationReport:
     """Outcome of one certification case.
 
-    For grid cases the verdict is pass iff every grid point agrees
-    exactly and the grid exceeded the declared degree bound; for
-    symbolic cases it is exact equality of the two closed forms.
+    For grid cases the verdict is exact equality of the engine
+    polynomial and the closed form, and ``grid`` holds both evaluated
+    on a grid that exceeds the declared degree bound; for symbolic
+    cases it is exact equality of the two closed forms.
     """
 
     name: str
@@ -161,7 +146,7 @@ class CertificationReport:
     degree_bound: tuple[int, int] | None = None
     grid_size: tuple[int, int] | None = None
     grid: tuple = ()
-    failures: tuple = field(default=())
+    failures: tuple = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,16 +169,17 @@ class CertificationReport:
 
 def certify(
     name: str,
-    engine_fn: Callable[[int, int], Fraction],
+    engine_fn: ParamPoly,
     form: ClosedForm,
     g_range: Sequence[int],
     i_range: Sequence[int],
 ) -> CertificationReport:
     """Certify engine_fn == form as a polynomial identity in (g, i).
 
-    Refuses to certify when a range does not exceed the declared
-    per-variable degree bound; that is a configuration error, not a
-    failed verdict.
+    The verdict is equality of the expanded polynomials; the grid only
+    sizes the report rows.  A range that does not exceed the declared
+    per-variable degree bound is still refused, as a configuration
+    error rather than a failed verdict.
     """
     g_points = sorted(set(g_range))
     i_points = sorted(set(i_range))
@@ -203,62 +189,48 @@ def certify(
             f"case {name}: grid {len(g_points)}x{len(i_points)} insufficient "
             f"for degree bound {form.degree_bound}"
         )
-    grid = []
-    failures = []
-    for g in g_points:
-        for i in i_points:
-            engine_value = Fraction(engine_fn(g, i))
-            closed_value = form(g, i)
-            row = (g, i, engine_value, closed_value)
-            grid.append(row)
-            if engine_value != closed_value:
-                failures.append(row)
+    grid = tuple(
+        (g, i, engine_value, closed_value)
+        for (g, i), engine_value, closed_value in zip(
+            product(g_points, i_points),
+            engine_fn.grid_values(g_points, i_points),
+            form.expr.grid_values(g_points, i_points),
+        )
+    )
     return CertificationReport(
         name=name,
-        verdict=not failures,
+        verdict=engine_fn == form.expr,
         method="grid",
         anchor=form.anchor,
         degree_bound=form.degree_bound,
         grid_size=(len(g_points), len(i_points)),
-        grid=tuple(grid),
-        failures=tuple(failures),
-    )
-
-
-def certify_symbolic(name: str, lhs: ParamPoly, rhs: ParamPoly, anchor: str) -> CertificationReport:
-    """Exact equality of two fully expanded closed forms; no grid needed."""
-    return CertificationReport(
-        name=name,
-        verdict=(lhs == rhs),
-        method="symbolic",
-        anchor=anchor,
+        grid=grid,
+        failures=tuple(row for row in grid if row[2] != row[3]),
     )
 
 
 # ---------------------------------------------------------------------------
-# Engine quantities: one exact record per grid point, derived from the
-# Chow ring and the bundle calculus independently of the closed forms
-
-# Largest verify grid (16 x 17 points), so a full run never evicts.
-ENGINE_CACHE_SIZE = 272
+# Engine quantities: derived once over the generic ring from the Chow ring
+# and the bundle calculus, independently of the closed forms
 
 
-@functools.lru_cache(maxsize=ENGINE_CACHE_SIZE)
-def engine_values(g: int, i: int) -> Mapping[str, Fraction]:
-    """Every engine quantity at (g, i), keyed by its closed-form name.
+@functools.cache
+def engine_polys() -> Mapping[str, ParamPoly]:
+    """Every engine quantity as a polynomial in (g, i), keyed by its
+    closed-form name.
 
-    The record is memoised across suite runs, so each grid point builds
-    its classes once; it is read-only because the cache shares it.
+    Built on first use and kept for the process; the mapping is
+    read-only because every caller shares it.
     """
-    ring = ChowRing(g)
-    w = weierstrass_class(ring, i)
-    jets = jet_chern(ring, i, g + i)
+    ring = ChowRing(_G)
+    w = weierstrass_class(ring, _I)
+    jets = jet_chern(ring, _I, _G + _I)
     w_delta = chow_integrate(ring, chow_mul(ring, w, DELTA))
-    sw = chow_integrate(ring, special_ramification_class(ring, i))
-    e_plus = chow_integrate(ring, moving_locus_class(ring, i))
+    sw = chow_integrate(ring, special_ramification_class(ring, _I))
+    e_plus = chow_integrate(ring, moving_locus_class(ring, _I, jets))
     # moving pairs off the diagonal: the Porteous count minus the weight
     # (g+1) carried by each of the transversal diagonal intersections
-    e = e_plus - (g + 1) * w_delta
+    e = e_plus - (_G + 1) * w_delta
     return MappingProxyType(
         {
             "W_class_K1": w.cK1,
@@ -284,18 +256,15 @@ Runner = Callable[[Sequence[int], Sequence[int]], CertificationReport]
 
 def _grid_case(name: str) -> Runner:
     def run(g_range, i_range):
-        return certify(
-            name, lambda g, i: engine_values(g, i)[name], CLOSED_FORMS[name], g_range, i_range
-        )
+        return certify(name, engine_polys()[name], CLOSED_FORMS[name], g_range, i_range)
 
     return run
 
 
 def _symbolic_case(name: str, lhs: ParamPoly, rhs: ParamPoly, anchor: str) -> Runner:
-    def run(g_range, i_range):
-        return certify_symbolic(name, lhs, rhs, anchor)
-
-    return run
+    """Exact equality of two fully expanded closed forms; no grid needed."""
+    report = CertificationReport(name=name, verdict=lhs == rhs, method="symbolic", anchor=anchor)
+    return lambda g_range, i_range: report
 
 
 _GRID_CASES = (

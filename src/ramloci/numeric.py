@@ -183,6 +183,9 @@ class ParamPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def degrees(self):
         """Per-variable degrees (d_g, d_i); (0, 0) for the zero polynomial."""
         dg = max((eg for eg, _ in self.terms), default=0)
@@ -191,6 +194,17 @@ class ParamPoly:
 
     def __call__(self, g, i) -> Fraction:
         return poly_eval(self, g, i)
+
+    def grid_values(self, g_points, i_points) -> list[Fraction]:
+        """Exact values at every (g, i) of the grid, g-major: for integer
+        points, integer numerators over one common denominator."""
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        terms = [(eg, ei, int(c * den)) for (eg, ei), c in self.terms.items()]
+        return [
+            Fraction(sum(n * g**eg * i**ei for eg, ei, n in terms), den)
+            for g in g_points
+            for i in i_points
+        ]
 
     def subs_i(self, value) -> "ParamPoly":
         """Substitute a constant for i, leaving a polynomial in g."""
@@ -224,12 +238,7 @@ class ParamPoly:
 
 def poly_eval(p: ParamPoly, g, i) -> Fraction:
     """Exact value of p at integer (or rational) arguments."""
-    g = Fraction(g)
-    i = Fraction(i)
-    total = Fraction(0)
-    for (eg, ei), c in p.terms.items():
-        total += c * g**eg * i**ei
-    return total
+    return p.grid_values([Fraction(g)], [Fraction(i)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,9 @@ def run_module(*argv, timeout=120):
     )
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
 def _assert_one_error_line(proc, code):
     """The CLI contract: exit 2 and a single error[code] line, no traceback."""
     assert proc.returncode == 2
@@ -110,6 +113,21 @@ class TestParseCurve:
         assert place.kind == "ordinary" and place.y == 3
         with pytest.raises(ConfigError):
             _parse_place(model, "nonsense")
+
+    @pytest.mark.parametrize(
+        "place", ["1e5000", "1e200000000", "1" * 1001], ids=["1e5000", "1e200000000", "1001-digits"]
+    )
+    def test_place_outside_the_documented_grammar_is_config_error(self, place):
+        proc = run_module("curve", "orders", "y^2=x^3-x", "--i", "1", "--place", place, timeout=20)
+        _assert_one_error_line(proc, "config")
+
+    def test_place_fractions_and_signs(self):
+        model = parse_curve("y^2 = x^3 - x")
+        assert _parse_place(model, "+1").x == 1
+        assert _parse_place(model, "-2/2, 0").x == -1
+        for text in ("1.5", "1/0", "1,2,3", "0x10"):
+            with pytest.raises(ConfigError):
+                _parse_place(model, text)
 
 
 class TestRunConfig:
@@ -185,7 +203,7 @@ class TestVerifyCommand:
         def broken_runner(g_range, i_range):
             return certify(
                 "SW_degree",
-                lambda g, i: formulas.engine_values(g, i)["SW_degree"],
+                formulas.engine_polys()["SW_degree"],
                 broken_form,
                 g_range,
                 i_range,
@@ -205,6 +223,23 @@ class TestVerifyCommand:
             "engine": "0",
             "closed_form": "1",
         }
+
+    @pytest.mark.parametrize(
+        "golden",
+        [
+            "verify_default.json",
+            "verify_default.tsv",
+            "verify_default.pretty",
+            "verify_g1-16_i0-16.json",
+            "verify_g1-16_i0-16.tsv",
+        ],
+    )
+    def test_output_matches_golden_bytes(self, golden):
+        stem, fmt = golden.rsplit(".", 1)
+        span = ("--g", "1..16", "--i", "0..16") if stem.endswith("i0-16") else ()
+        code, text = run_cli("verify", *span, "--format", fmt)
+        assert code == 0
+        assert text.encode() == (DATA / golden).read_bytes()
 
     def test_pretty_output_mentions_every_case(self):
         code, text = run_cli("verify")
@@ -278,6 +313,19 @@ class TestCurveCommand:
     def test_usage_error(self):
         code, _ = run_cli("curve", "nonsense", "y^2 = x^3 - x")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("curve", "weights", "y^2 = x^3 - x", "--i", "abc"), ("frobnicate",), ()],
+        ids=["non-integer-i", "unknown-subcommand", "no-subcommand"],
+    )
+    def test_usage_error_is_one_line(self, argv):
+        proc = run_module(*argv, timeout=20)
+        _assert_one_error_line(proc, "usage")
+
+    def test_help_exits_zero(self):
+        proc = run_module("curve", "--help", timeout=20)
+        assert proc.returncode == 0 and "usage:" in proc.stdout
 
     @pytest.mark.parametrize(
         "sub, i",

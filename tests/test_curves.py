@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ramloci.cli import parse_curve
 from ramloci.curves import (
@@ -416,6 +418,36 @@ class TestTotalWeight:
         assert report.total == (r + 1) * (d + (g - 1) * r)
         assert report.total == g * (g + i) ** 2
         assert report.remainder >= 0
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        degree=st.sampled_from([3, 5]),
+        split=st.booleans(),
+        roots=st.lists(st.integers(-6, 6), min_size=5, max_size=5, unique=True),
+        coeffs=st.lists(st.integers(-9, 9), min_size=5, max_size=5),
+        i=st.integers(0, 2),
+    )
+    def test_weight_bookkeeping_on_random_curves(self, degree, split, roots, coeffs, i):
+        """Random monic squarefree odd f, split over small integer roots
+        or with random coefficients: the located weights and the
+        nonnegative remainders add up to g(g+i)^2."""
+        if split:
+            f = UniPoly([1])
+            for r in roots[:degree]:
+                f = f * (X - r)
+        else:
+            f = UniPoly(coeffs[:degree] + [1])
+        try:
+            model = HyperellipticModel.from_poly(f)
+        except NotSquarefreeError:
+            assume(False)
+        g = model.genus
+        report = total_weight(model, i)
+        assert report.located_total == sum(seq.weight for _, seq in report.entries)
+        assert report.total == g * (g + i) ** 2
+        assert report.located_total + report.remainder == report.total
+        assert report.remainder_branch >= 0 and report.remainder_ordinary >= 0
+        assert report.remainder == report.remainder_branch + report.remainder_ordinary
 
     def test_start_precision_policy(self):
         # d + 3 for the degree d = 2g - 1 + i of the twisted system

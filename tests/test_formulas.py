@@ -1,15 +1,18 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from ramloci import formulas
+from ramloci.bundles import ChernPoly, jet_chern
+from ramloci.chow import DELTA, K2, ChowRing, chow_integrate
 from ramloci.errors import GridInsufficientError
 from ramloci.formulas import (
     CASES,
     CLOSED_FORMS,
     ClosedForm,
     certify,
-    engine_values,
+    engine_polys,
     run_suite,
 )
 from ramloci.numeric import ParamPoly, poly_eval
@@ -18,8 +21,8 @@ G = ParamPoly.g()
 I = ParamPoly.i()
 
 
-def _sw_degree(g, i):
-    return engine_values(g, i)["SW_degree"]
+def _sw_degree():
+    return engine_polys()["SW_degree"]
 
 
 class TestClosedForms:
@@ -52,7 +55,7 @@ class TestCertify:
     def test_sw_degree_passes(self):
         report = certify(
             "SW_degree",
-            _sw_degree,
+            _sw_degree(),
             CLOSED_FORMS["SW_degree"],
             range(1, 10),
             range(0, 9),
@@ -66,7 +69,7 @@ class TestCertify:
         broken = ClosedForm(
             "broken", CLOSED_FORMS["SW_degree"].expr + 1, (8, 8), "control case"
         )
-        report = certify("broken", _sw_degree, broken, range(1, 10), range(0, 9))
+        report = certify("broken", _sw_degree(), broken, range(1, 10), range(0, 9))
         assert not report.verdict
         g, i, engine, closed = report.failures[0]
         assert (g, i) == (1, 0)
@@ -76,7 +79,7 @@ class TestCertify:
         with pytest.raises(GridInsufficientError):
             certify(
                 "SW_degree",
-                _sw_degree,
+                _sw_degree(),
                 CLOSED_FORMS["SW_degree"],
                 range(1, 3),
                 range(0, 2),
@@ -86,7 +89,7 @@ class TestCertify:
         with pytest.raises(GridInsufficientError):
             certify(
                 "SW_degree",
-                _sw_degree,
+                _sw_degree(),
                 CLOSED_FORMS["SW_degree"],
                 range(1, 9),  # 8 points: not more than the declared bound 8
                 range(0, 9),
@@ -166,7 +169,19 @@ class TestSuiteRunner:
 
 
 class TestEngineRecord:
-    def test_one_jet_chern_call_per_grid_point_across_runs(self, monkeypatch):
+    def test_every_engine_polynomial_equals_its_closed_form(self):
+        polys = engine_polys()
+        assert list(polys) == [n for n in CASES if n in CLOSED_FORMS]
+        for name, poly in polys.items():
+            assert isinstance(poly, ParamPoly), name
+            assert poly == CLOSED_FORMS[name].expr, name
+
+    def test_engine_degrees_within_bound(self):
+        for name, poly in engine_polys().items():
+            dg, di = poly.degrees()
+            assert dg <= formulas._BOUND[0] and di <= formulas._BOUND[1], name
+
+    def test_two_suite_runs_build_the_engine_once(self, monkeypatch):
         calls = []
         real = formulas.jet_chern
 
@@ -175,34 +190,44 @@ class TestEngineRecord:
             return real(*args)
 
         monkeypatch.setattr(formulas, "jet_chern", counting)
-        engine_values.cache_clear()
+        engine_polys.cache_clear()
         run_suite()
         run_suite()
-        assert len(calls) == 81
-
-    def test_cache_holds_the_largest_verify_grid(self):
-        from ramloci.cli import MAX_VERIFY_G, MAX_VERIFY_I
-
-        assert formulas.ENGINE_CACHE_SIZE >= MAX_VERIFY_G * (MAX_VERIFY_I + 1)
+        assert 1 <= len(calls) <= 2
 
     def test_record_is_read_only(self):
         with pytest.raises(TypeError):
-            engine_values(2, 1)["SW_degree"] = 0
+            engine_polys()["SW_degree"] = 0
 
-    def test_degree_audit(self):
-        """Every engine quantity has per-variable degree at most 6 (the
-        audit in the module docstring): its 7th finite differences in g
-        and in i vanish on g 1..14 x i 0..13."""
+    @pytest.mark.parametrize("g, i", [(1, 0), (2, 1), (3, 4), (9, 8), (5, 0)])
+    def test_power_sums_match_the_filtration_product(self, g, i):
+        """The factor-by-factor product of the g+i+1 line-bundle factors
+        of the jet bundle, in the ring of genus g, agrees with the power
+        sums of jet_chern, both concrete and formal."""
+        ring = ChowRing(g)
+        product = ChernPoly.trivial(ring)
+        for m in range(1, g + i + 2):
+            product = product * ChernPoly.of_line_bundle(ring, m * K2 + (i + 1) * DELTA)
+        assert jet_chern(ring, i, g + i) == product
+        polys = engine_polys()
+        assert product.c1.cK2 == polys["jet_c1_K2"](g, i)
+        assert product.c1.cDelta == polys["jet_c1_Delta"](g, i)
+        assert chow_integrate(ring, product.c2) == polys["jet_c2_point"](g, i)
 
-        def diff(values, order):
-            for _ in range(order):
-                values = [b - a for a, b in zip(values, values[1:])]
-            return values
-
-        for name in engine_values(1, 0):
-            for i in range(14):
-                column = [engine_values(g, i)[name] for g in range(1, 15)]
-                assert not any(diff(column, 7)), (name, "g", i)
-            for g in range(1, 15):
-                row = [engine_values(g, i)[name] for i in range(14)]
-                assert not any(diff(row, 7)), (name, "i", g)
+    def test_form_agreeing_on_the_whole_grid_still_fails(self):
+        """A closed form off by (g-1)(g-2)...(g-9) agrees with the engine
+        on every point of the 9 x 9 grid, but is a different polynomial.
+        ClosedForm rejects a degree-9 expression under the bound (8, 8),
+        so a stand-in declares it, as a mistaken form would."""
+        vanishing = ParamPoly.const(1)
+        for root in range(1, 10):
+            vanishing = vanishing * (G - root)
+        wrong = SimpleNamespace(
+            name="SW_degree",
+            expr=CLOSED_FORMS["SW_degree"].expr + vanishing,
+            degree_bound=(8, 8),
+            anchor="control case",
+        )
+        report = certify("SW_degree", _sw_degree(), wrong, range(1, 10), range(0, 9))
+        assert len(report.grid) == 81 and not report.failures
+        assert not report.verdict
