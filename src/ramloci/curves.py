@@ -28,6 +28,7 @@ canonical-form value type with no arithmetic of its own.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -164,6 +165,8 @@ class CurveFunction:
     Canonical form: gcd(a, b, den) = 1 and den monic, so two elements are
     equal iff their (a, b, den) are.  This is a value type: the wronskian
     and the division polynomials are computed in Q[x] and wrapped once.
+    The caller passes a, b and den with no common factor (the wronskian
+    cancels its own, against f); the constructor makes den monic.
     """
 
     __slots__ = ("model", "a", "b", "den")
@@ -171,11 +174,6 @@ class CurveFunction:
     def __init__(self, model, a: UniPoly, b: UniPoly, den: UniPoly):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        common = a.gcd(b).gcd(den)
-        if common.degree > 0:
-            a = a.exact_div(common)
-            b = b.exact_div(common)
-            den = den.exact_div(common)
         scale = 1 / den.lead
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "a", a * scale if scale != 1 else a)
@@ -485,29 +483,63 @@ def affine_wronskian(model: HyperellipticModel, basis: MonomialBasis) -> CurveFu
         R_0 = x^a,    R_{m+1} = 2f R_m' + (b - 2m) f' R_m.
 
     Pulling y^b out of each column and (2f)^-m out of each row leaves the
-    polynomial matrix (R_m), whose determinant fraction-free Bareiss
-    computes with exact division in Q[x].  With k y-columns the wronskian
-    is det(R_m) y^k / (2f)^(n(n-1)/2), and y^k = f^(k//2) y^(k%2).
+    polynomial matrix (R_m); with n = g+i rows and k y-columns the
+    wronskian is det(R_m) y^k / (2f)^(n(n-1)/2), and y^k = f^(k//2) y^(k%2).
+
+    The x-monomials of a basis are exactly 1, x, ..., x^A, and for x^j
+    the recursion gives R_m = (2f)^m (d/dx)^m x^j, which vanishes for
+    m > j.  Moving the x-columns ahead of the y-columns (a shuffle whose
+    sign is the parity of its inversions) makes the matrix block upper
+    triangular, with diagonal j! (2f)^j in the x-block, so
+
+        det(R_m) = sign * prod_{j<=A} j! (2f)^j * det(Y),
+
+    where Y is the k x k block of y-columns on rows A+1..n-1.  Only Y
+    goes through fraction-free Bareiss, and (2f)^(A(A+1)/2) cancels
+    against the denominator by exponent arithmetic, as does f^(k//2).
+
+    What is left is num / (c f^e).  Since f is squarefree, every
+    irreducible factor of f^e divides f exactly once, so the common
+    factor is removed by at most e rounds of dividing num by gcd(num, f);
+    once gcd(num, f) = 1 no factor of the denominator divides num, and
+    (a, b, den) is in canonical form without a gcd against f^e.
     """
     n = len(basis)
     f = model.f
     fp = f.derivative()
     two_f = 2 * f
-    columns = []
+    x_count = n - sum(b for _, b in basis.exponents)
+    y_columns = []
+    sign = 1
     for a_exp, b_exp in basis.exponents:
-        entry = UniPoly.x() ** a_exp
-        col = [entry]
+        if not b_exp:
+            # every y-column before this x-column is one inversion
+            sign *= (-1) ** len(y_columns)
+            continue
+        col = [UniPoly.x() ** a_exp]
         for m in range(n - 1):
-            entry = two_f * entry.derivative() + (b_exp - 2 * m) * fp * entry
-            col.append(entry)
-        columns.append(col)
-    det = bareiss_det([[columns[k][m] for k in range(n)] for m in range(n)])
-    if det.is_zero():
-        raise DegenerateSystemError("wronskian of a monomial basis vanished")
-    y_columns = sum(b for _, b in basis.exponents)
-    num = det * f ** (y_columns // 2)
-    den = two_f ** (n * (n - 1) // 2)
-    if y_columns % 2:
+            col.append(two_f * col[-1].derivative() + (1 - 2 * m) * fp * col[-1])
+        y_columns.append(col[x_count:])
+    k = len(y_columns)
+    num = UniPoly.const(1)
+    if k:
+        num = bareiss_det([[col[r] for col in y_columns] for r in range(k)])
+        if num.is_zero():
+            raise DegenerateSystemError("wronskian of a monomial basis vanished")
+    # rows x_count..n-1 carry (2f)^power, and y^k brings f^(k//2) upstairs
+    power = k * (x_count + n - 1) // 2
+    e = power - k // 2
+    den = UniPoly.const(1)
+    while e:
+        shared = num.gcd(f)
+        if shared.degree == 0:
+            break
+        num = num.exact_div(shared)
+        den = den * f.exact_div(shared)
+        e -= 1
+    den = den * f**e
+    num = num * Fraction(sign * math.prod(map(math.factorial, range(x_count))), 2**power)
+    if k % 2:
         return CurveFunction(model, UniPoly(), num, den)
     return CurveFunction(model, num, UniPoly(), den)
 

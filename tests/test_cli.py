@@ -373,6 +373,16 @@ class TestCurveCommand:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["total"] == 4
 
+    def test_degree_31_curve_weights_fast(self):
+        # g = 15, i = 0: the 15 basis monomials are all powers of x, so
+        # the wronskian needs no determinant at all
+        proc = run_module(
+            "curve", "weights", "y^2 = x^31 - x + 1",
+            "--i", "0", "--format", "json", timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["total"] == 3375  # g(g+i)^2
+
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_closed_stdout_is_output_error(self, unbuffered):
         read_end, write_end = os.pipe()
