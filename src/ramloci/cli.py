@@ -10,6 +10,7 @@ canonical "p/q" rationals, no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -452,7 +453,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(2, f"error[usage]: {' '.join(message.split())}\n")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it unchanged."""
     parser = _ArgumentParser(
         prog="ramloci",
         description="Exact verification of ramification counts on explicit curves "

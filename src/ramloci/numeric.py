@@ -20,6 +20,17 @@ than silently returning a truncated value.  Series built from finite
 data (polynomials, monomials) are marked ``exact`` and behave as if the
 window were infinite.
 
+Products go through the integer kernel ``_kernels.convolve`` on
+numerators over a common denominator.  ``poly_on_series`` (Horner's rule,
+the inner loop of every local expansion) keeps its accumulator as
+integer numerators over one running denominator for the whole
+evaluation: one kernel call per step, a rescale only when a coefficient's
+denominator does not divide the running one, and ``Fraction`` objects
+built once, at the end.  Each step applies the windows and strips of
+``Series.__mul__`` and ``Series.__add__``, so the result equals Horner's
+rule on ``Series`` objects.  The constructors keep a coefficient that is
+already a ``Fraction``.
+
 All values are immutable after construction and safe to share between
 threads.
 """
@@ -251,7 +262,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -584,7 +595,7 @@ class Series:
     __slots__ = ("lead", "coeffs", "exact")
 
     def __init__(self, lead: int, coeffs=(), exact: bool = False):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         k = 0
         while k < len(cs) and cs[k] == 0:
             k += 1
@@ -680,19 +691,20 @@ class Series:
         if other.is_zero():
             return self
         k = min(self.known_up_to, other.known_up_to)
-        if math.isinf(k):
+        exact = math.isinf(k)
+        if exact:
             base = min(self.lead, other.lead)
             top = max(self.lead + len(self.coeffs), other.lead + len(other.coeffs))
-            return Series(
-                base,
-                [self.coefficient(e) + other.coefficient(e) for e in range(base, top)],
-                exact=True,
-            )
-        base = min(self.lead, other.lead, k)
-        return Series(
-            base,
-            [self.coefficient(e) + other.coefficient(e) for e in range(base, k)],
-        )
+        else:
+            base = min(self.lead, other.lead, k)
+            top = k
+        out = [_ZERO] * (top - base)
+        sc = self.coeffs[: max(0, top - self.lead)]
+        out[self.lead - base : self.lead - base + len(sc)] = sc
+        off = other.lead - base
+        for j, c in enumerate(other.coeffs[: max(0, top - other.lead)]):
+            out[off + j] = out[off + j] + c if out[off + j] else c
+        return Series(base, out, exact=exact)
 
     __radd__ = __add__
 
@@ -836,11 +848,59 @@ def series_sqrt(s: Series, prec: int | None = None) -> Series:
 
 
 def poly_on_series(p: UniPoly, x: Series) -> Series:
-    """Evaluate a polynomial on a series by Horner's rule."""
-    acc = Series.zero()
+    """Evaluate a polynomial on a series by Horner's rule.
+
+    Each step is ``acc * x + c`` with the windows and strips of
+    ``Series.__mul__`` and ``Series.__add__``, but on integer numerators
+    over one running denominator.  ``acc`` is (lead, numerators, den,
+    exact), or None while it is the exact zero series.
+    """
+    xn, xd = _pack(x.coeffs)
+    x_top = x.known_up_to
+    acc = None
     for c in reversed(p.coeffs):
-        acc = acc * x + Series.constant(c)
-    return acc
+        if acc is not None:  # acc * x
+            lead, nums, den, exact = acc
+            k = min(lead + x_top, x.lead + (_INF if exact else lead + len(nums)))
+            exact = math.isinf(k)
+            base = lead + x.lead
+            n = len(nums) + len(xn) - 1 if exact else k - base
+            if x.is_zero():
+                acc = None
+            elif n <= 0 or not nums or not xn:
+                acc = (k, [], den, False)
+            else:
+                acc = (base, _kernels.convolve(nums, xn, n), den * xd, exact)
+        if not c:
+            continue
+        if acc is None:
+            acc = (0, [c.numerator], c.denominator, True)
+            continue
+        # acc + c: t^0 lies in the window unless acc is known only below it
+        lead, nums, den, exact = acc
+        top = lead + len(nums)
+        if not exact and top <= 0:
+            continue
+        if den % c.denominator:
+            scale = c.denominator // math.gcd(den, c.denominator)
+            nums = [v * scale for v in nums]
+            den *= scale
+        base = min(lead, 0)
+        out = [0] * ((max(top, 1) if exact else top) - base)
+        out[lead - base : top - base] = nums
+        out[-base] += c.numerator * (den // c.denominator)
+        lo = 0
+        while lo < len(out) and not out[lo]:
+            lo += 1
+        hi = len(out)
+        if exact:
+            while hi > lo and not out[hi - 1]:
+                hi -= 1
+        acc = None if exact and lo == hi else (base + lo, out[lo:hi], den, exact)
+    if acc is None:
+        return Series.zero()
+    lead, nums, den, exact = acc
+    return Series(lead, [Fraction(v, den) if v else _ZERO for v in nums], exact=exact)
 
 
 # ---------------------------------------------------------------------------

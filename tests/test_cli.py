@@ -413,6 +413,24 @@ class TestCurveCommand:
         assert run_cli(*args)[1] == run_cli(*args)[1]
 
 
+def test_one_process_matches_fresh_processes(capsys):
+    # the parser is built once per process; reusing it for a usage error,
+    # then verify, then curve weights must not change any call's output
+    from ramloci import cli
+
+    calls = [
+        ("curve", "weights", "y^2 = x^3 - x", "--i", "abc"),
+        ("verify",),
+        ("curve", "weights", "y^2 = x^3 - 2*x + 5", "--i", "2", "--format", "json"),
+    ]
+    for argv in calls:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        fresh = run_module(*argv)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert cli._build_parser() is cli._build_parser()
+
+
 class TestExitCodeMapping:
     def test_inconclusive_maps_to_three(self, monkeypatch):
         import ramloci.cli as cli_mod

@@ -10,6 +10,7 @@ from ramloci.curves import (
     CurveFunction,
     HyperellipticModel,
     Place,
+    _local_frame,
     affine_wronskian,
     branch_ord_total,
     build_basis,
@@ -149,6 +150,23 @@ class TestExpansion:
     def test_place_not_on_curve(self):
         with pytest.raises(NotOnCurveError):
             expand_at(E1, E1.monomial(1, 0), Place.branch(5), 8)
+
+    def test_local_frames_match_sympy(self):
+        # (x, y, dx/dt, 1/y) on y^2 = x^3 - 2x + 5 at the ordinary place
+        # (2, 3), where x = 2 + t, and at infinity, where x = t^-2
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t", positive=True)
+        model = HyperellipticModel.from_poly(X**3 - 2 * X + 5)
+        prec = 8
+        for place, xt in ((Place.ordinary(2, 3), 2 + t), (Place.infinity(), t**-2)):
+            y = sympy.sqrt(sympy.expand(xt**3 - 2 * xt + 5))
+            expected = (xt, y, sympy.diff(xt, t), 1 / y)
+            for ours, sym in zip(_local_frame(model, place, prec), expected):
+                hi = ours.known_up_to if not ours.exact else ours.lead + prec
+                sym = sympy.expand(sympy.series(sym, t, 0, hi).removeO())
+                for e in range(ours.lead - 2, hi):
+                    want = sym.coeff(t, e)
+                    assert ours.coefficient(e) == Fraction(int(want.p), int(want.q)), (place.kind, e)
 
 
 class TestOrderSequences:

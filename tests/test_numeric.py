@@ -33,6 +33,49 @@ rationals = st.fractions(
 )
 
 
+def _triple(s: Series):
+    return (s.lead, s.coeffs, s.exact)
+
+
+def _horner_on_series_objects(p: UniPoly, x: Series) -> Series:
+    """Reference: Horner's rule on Series objects, one Series.__mul__ and
+    one Series.__add__ per coefficient."""
+    acc = Series.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * x + Series.constant(c)
+    return acc
+
+
+def _add_by_coefficients(a: Series, b: Series) -> Series:
+    """Reference sum: one coefficient() lookup per exponent of the window."""
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    k = min(a.known_up_to, b.known_up_to)
+    if math.isinf(k):
+        base = min(a.lead, b.lead)
+        top = max(a.lead + len(a.coeffs), b.lead + len(b.coeffs))
+        return Series(base, [a.coefficient(e) + b.coefficient(e) for e in range(base, top)], True)
+    base = min(a.lead, b.lead, k)
+    return Series(base, [a.coefficient(e) + b.coefficient(e) for e in range(base, k)])
+
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# degree 0..8, the zero polynomial included (an empty or all-zero list)
+polys = st.lists(small_rationals, max_size=9).map(UniPoly)
+series_values = st.one_of(
+    st.just(Series.zero()),
+    st.integers(-3, 3).map(lambda lead: Series(lead, ())),  # empty window
+    st.builds(
+        lambda lead, cs, exact: Series(lead, cs, exact=exact),
+        st.integers(-3, 3),
+        st.lists(small_rationals, max_size=6),
+        st.booleans(),
+    ),
+)
+
+
 class TestRational:
     def test_rat_sqrt(self):
         assert rat_sqrt(Fraction(9, 4)) == Fraction(3, 2)
@@ -287,6 +330,101 @@ class TestSeries:
         assert out.coefficient(2) == 1
         assert out.coefficient(3) == 2
         assert out.coefficient(4) == 1
+
+    @given(polys, series_values)
+    @settings(deadline=None, max_examples=200)
+    def test_poly_on_series_matches_series_horner(self, p, x):
+        assert _triple(poly_on_series(p, x)) == _triple(_horner_on_series_objects(p, x))
+
+    @given(
+        polys,
+        small_rationals.filter(bool),
+        st.lists(small_rationals, max_size=6),
+        st.booleans(),
+        st.lists(small_rationals, max_size=2),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_poly_on_series_cancelling_lead(self, q, x0, cs, exact, low):
+        # p(X) = q(X) (X - x0) X^s + low(X) with deg low < s: the Horner
+        # step that adds p_s cancels the constant term of acc * x, and s
+        # more steps follow.  Every operand handed to the kernel must be
+        # stripped as Series would strip it.
+        x = Series(0, [x0] + cs, exact=exact)
+        p = q * UniPoly([-x0, 1]) * UniPoly([0] * len(low) + [1]) + UniPoly(low)
+        seen = []
+        convolve = _kernels.convolve
+
+        def spy(a, b, n_out):
+            seen.append((a, b))
+            return convolve(a, b, n_out)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "convolve", spy)
+            out = poly_on_series(p, x)
+        assert _triple(out) == _triple(_horner_on_series_objects(p, x))
+        for a, b in seen:
+            assert a[0] and b[0]
+            assert not x.exact or (a[-1] and b[-1])
+
+    @given(series_values, series_values)
+    @settings(deadline=None, max_examples=200)
+    def test_add_matches_coefficientwise(self, a, b):
+        assert _triple(a + b) == _triple(_add_by_coefficients(a, b))
+
+    def test_constructors_store_fractions(self):
+        half = Fraction(1, 2)
+        for values in ([1, True, half, 0], [False, 3, -2, half], [half]):
+            s = Series(-1, values, exact=False)
+            u = UniPoly(values)
+            for coeffs in (s.coeffs, u.coeffs):
+                assert all(type(c) is Fraction for c in coeffs)
+        # a Fraction is kept as it is, not rebuilt
+        assert Series(0, [half]).coeffs[0] is half
+        assert UniPoly([0, half]).coeffs[1] is half
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kernels_match_sympy_series(self, seed):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t", positive=True)
+        rng = random.Random(seed)
+
+        def rat():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+        def expr(lead, cs):
+            return sum(sympy.Rational(c.numerator, c.denominator) * t ** (lead + k)
+                       for k, c in enumerate(cs))
+
+        def agrees(ours, sym):
+            sym = sympy.expand(sym)
+            for e in range(ours.lead - 2, ours.known_up_to):
+                want = sym.coeff(t, e)
+                assert ours.coefficient(e) == Fraction(int(want.p), int(want.q)), e
+
+        prec = 6
+        # inverse of t^lead * (unit), a Laurent series
+        lead = rng.randint(-2, 2)
+        cs = [Fraction(rng.randint(1, 9), rng.randint(1, 5))] + [rat() for _ in range(4)]
+        inv = series_invert(Series(lead, cs, exact=True), prec=prec)
+        want = sympy.series(1 / expr(lead, cs), t, 0, inv.known_up_to).removeO()
+        agrees(inv, want)
+        # square root with a square leading coefficient and even valuation
+        half = rng.randint(0, 2)
+        r0 = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+        cs = [r0 * r0] + [rat() for _ in range(4)]
+        root = series_sqrt(Series(2 * half, cs, exact=True), prec=prec)
+        want = sympy.series(sympy.sqrt(expr(2 * half, cs)), t, 0, root.known_up_to).removeO()
+        agrees(root, want)
+        # a polynomial on an inexact window of a longer series
+        full = [rat() or Fraction(1)] + [rat() for _ in range(7)]
+        x = Series(1, full[:prec])
+        p = UniPoly([rat() for _ in range(4)] + [rat() or Fraction(1)])
+        out = poly_on_series(p, x)
+        xs = sympy.Symbol("xs")
+        p_expr = sum(sympy.Rational(c.numerator, c.denominator) * xs**k
+                     for k, c in enumerate(p.coeffs))
+        want = sympy.series(p_expr.subs(xs, expr(1, full)), t, 0, out.known_up_to).removeO()
+        agrees(out, want)
 
 
 def _rational_roots_by_divisors(p: UniPoly):
