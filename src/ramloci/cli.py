@@ -125,20 +125,21 @@ class _Parser:
         return poly
 
     def parse_poly(self) -> UniPoly:
-        total = UniPoly()
+        coeffs = {}  # exponent -> summed coefficient
         sign = 1
         tok = self.peek()
         if tok[0] in "+-":
             sign = -1 if tok[0] == "-" else 1
             self.take(tok[0])
         while True:
-            total = total + sign * self.parse_term()
+            exponent, coeff = self.parse_term()
+            coeffs[exponent] = coeffs.get(exponent, 0) + sign * coeff
             tok = self.peek()
             if tok[0] in "+-":
                 sign = -1 if tok[0] == "-" else 1
                 self.take(tok[0])
                 continue
-            return total
+            return UniPoly([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
 
     def parse_number(self) -> Fraction:
         tok = self.take("num")
@@ -151,7 +152,7 @@ class _Parser:
             value /= int(dtok[1])
         return value
 
-    def parse_term(self) -> UniPoly:
+    def parse_term(self) -> tuple[int, Fraction]:
         tok = self.peek()
         coeff = None
         if tok[0] == "num":
@@ -178,9 +179,7 @@ class _Parser:
             raise CurveSyntaxError(
                 f"expected a coefficient or x, found {tok[1] or 'end of input'!r}", tok[2]
             )
-        if coeff is None:
-            coeff = Fraction(1)
-        return UniPoly([Fraction(0)] * exponent + [coeff])
+        return exponent, Fraction(1) if coeff is None else coeff
 
 
 def parse_curve(text: str, require_split: bool = False) -> HyperellipticModel:

@@ -319,7 +319,12 @@ def _solve_branch_parameter(fshift: UniPoly, prec: int) -> Series:
 
 @functools.lru_cache(maxsize=256)
 def _local_frame(model: HyperellipticModel, place: Place, prec: int):
-    """Series for (x, y, dx/dt, 1/y) in the canonical parameter at a place."""
+    """Series for (x, y, dx/dt, 1/y) in the canonical parameter at a place.
+
+    The place is checked here, once per cache miss: a place that is not
+    on the curve raises before anything is expanded, and is never cached.
+    """
+    model.check_place(place)
     g = model.genus
     f = model.f
     if place.kind == ORDINARY:
@@ -356,7 +361,6 @@ def expand_at(model: HyperellipticModel, fn, place: Place, precision: int) -> Se
     """
     if precision < 1:
         raise ValueError("precision must be positive")
-    model.check_place(place)
     x, y, dxdt, y_inv = _local_frame(model, place, precision)
     if fn is DX_OVER_Y:
         return dxdt * y_inv

@@ -29,7 +29,11 @@ denominator does not divide the running one, and ``Fraction`` objects
 built once, at the end.  Each step applies the windows and strips of
 ``Series.__mul__`` and ``Series.__add__``, so the result equals Horner's
 rule on ``Series`` objects.  The constructors keep a coefficient that is
-already a ``Fraction``.
+already a ``Fraction``.  ``UniPoly.evaluate``, ``shift`` and
+``root_multiplicity`` run on integer numerators homogenised in the
+denominator q of the point p/q, and divide exactly by q x - p over Z.  The
+Newton loops of ``series_invert`` and ``series_sqrt`` carry one integer
+list over one denominator and remove its content at every step.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -83,6 +87,23 @@ def _convolve_frac(a, b, n_out):
     if dd == 1:
         return [Fraction(c) if c else _ZERO for c in _kernels.convolve(pa, pb, n_out)]
     return [Fraction(c, dd) if c else _ZERO for c in _kernels.convolve(pa, pb, n_out)]
+
+
+def _primitive(nums, den):
+    """(nums, den) with the common content of the numerators and den removed."""
+    g = math.gcd(den, *nums)
+    return ([c // g for c in nums], den // g) if g > 1 else (nums, den)
+
+
+def _homogeneous_value(nums, p: int, q: int) -> int:
+    """q^n times the value at p/q of the integer polynomial ``nums``
+    (degree n): Horner's rule on sum nums[k] p^k q^(n-k)."""
+    acc = 0
+    qk = 1
+    for c in reversed(nums):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +417,8 @@ class UniPoly:
 
     def _int_coeffs(self):
         """Primitive integer coefficient list (content removed)."""
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        content = 0
-        for c in ints:
-            content = math.gcd(content, c)
+        ints = _pack(self.coeffs)[0]
+        content = math.gcd(*ints)
         return [c // content for c in ints] if content > 1 else ints
 
     def gcd(self, other) -> "UniPoly":
@@ -453,30 +469,42 @@ class UniPoly:
 
     def evaluate(self, v) -> Fraction:
         v = Fraction(v)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        nums, den = _pack(self.coeffs)
+        acc = _homogeneous_value(nums, v.numerator, v.denominator)
+        return Fraction(acc, den * v.denominator ** max(len(nums) - 1, 0))
 
     def shift(self, x0) -> "UniPoly":
-        """Taylor shift: the polynomial p(x0 + x)."""
+        """Taylor shift: the polynomial p(x0 + x).  For x0 = p/q with
+        numerators n_k over den, the integer Taylor shift t of the
+        n_k q^(n-k) by p gives coefficient j as t_j / (den q^(n-j))."""
         x0 = Fraction(x0)
-        acc = UniPoly()
-        lin = UniPoly([x0, 1])
-        for c in reversed(self.coeffs):
-            acc = acc * lin + UniPoly.const(c)
-        return acc
+        p, q = x0.numerator, x0.denominator
+        nums, den = _pack(self.coeffs)
+        n = len(nums) - 1
+        if q != 1:
+            nums = [c * q ** (n - k) for k, c in enumerate(nums)]
+        if p:
+            for i in range(n):
+                for j in range(n - 1, i - 1, -1):
+                    nums[j] += p * nums[j + 1]
+        return UniPoly([Fraction(c, den * q ** (n - j)) if c else _ZERO for j, c in enumerate(nums)])
 
     def root_multiplicity(self, x0) -> int:
-        """Multiplicity of x0 as a root (0 when p(x0) != 0)."""
+        """Multiplicity of x0 = p/q as a root (0 when p(x0) != 0).  The
+        integer numerators are divided by the primitive q x - p, exactly
+        over Z by Gauss's lemma, while their value at x0 vanishes."""
         if self.is_zero():
             raise ValueError("every point is a root of the zero polynomial")
         x0 = Fraction(x0)
-        lin = UniPoly([-x0, 1])
+        p, q = x0.numerator, x0.denominator
+        nums = _pack(self.coeffs)[0]
         m = 0
-        p = self
-        while p.evaluate(x0) == 0:
-            p = p.exact_div(lin)
+        while not _homogeneous_value(nums, p, q):
+            # a_k = q b_(k-1) - p b_k, solved from the top; b_(k-1) goes to slot k
+            b = 0
+            for k in range(len(nums) - 1, 0, -1):
+                b = nums[k] = (nums[k] + p * b) // q
+            del nums[0]
             m += 1
         return m
 
@@ -791,17 +819,19 @@ def series_invert(s: Series, prec: int | None = None) -> Series:
         p = prec
     else:
         p = len(s.coeffs) if prec is None else min(prec, len(s.coeffs))
-    c0 = s.coeffs[0]
-    u = [c / c0 for c in s.coeffs[:p]]
+    # u = s / c0 is u_k = nums[k] / nums[0]; x = 1/u is xs / dx.
+    nums, den = _pack(s.coeffs[: max(p, 1)])
+    du = nums[0]
     # Newton iteration x <- x(2 - u x), doubling the correct window
-    x = [Fraction(1)]
+    xs, dx = [1], 1
     m = 1
     while m < p:
         m = min(2 * m, p)
-        ux = _convolve_frac(u[:m], x, m)
-        two_minus = [2 - ux[0]] + [-c for c in ux[1:]]
-        x = _convolve_frac(x, two_minus, m)
-    return Series(-s.lead, [c / c0 for c in x])
+        d = du * dx
+        ux = _kernels.convolve(nums[:m], xs, m)
+        two_minus = [2 * d - ux[0]] + [-c for c in ux[1:]]
+        xs, dx = _primitive(_kernels.convolve(xs, two_minus, m), dx * d)
+    return Series(-s.lead, [Fraction(c * den, dx * du) if c else _ZERO for c in xs])
 
 
 def series_sqrt(s: Series, prec: int | None = None) -> Series:
@@ -832,19 +862,22 @@ def series_sqrt(s: Series, prec: int | None = None) -> Series:
         p = prec
     else:
         p = len(s.coeffs) if prec is None else min(prec, len(s.coeffs))
-    u = [c / c0 for c in s.coeffs[:p]]
-    if len(u) < p:
-        u = u + [Fraction(0)] * (p - len(u))
-    z = [Fraction(1)]
+    # u = s / c0 is u_k = nums[k] / nums[0]; z = u^(-1/2) is zs / dz.
+    nums = _pack(s.coeffs[: max(p, 1)])[0]
+    du = nums[0]
+    nums += [0] * (p - len(nums))
+    zs, dz = [1], 1
     m = 1
     while m < p:
         m = min(2 * m, p)
-        zz = _convolve_frac(z, z, m)
-        uzz = _convolve_frac(u[:m], zz, m)
-        corr = [Fraction(3) - uzz[0]] + [-c for c in uzz[1:]]
-        z = [c / 2 for c in _convolve_frac(z, corr, m)]
-    root = _convolve_frac(u, z, p)
-    return Series(s.lead // 2, [r0 * c for c in root])
+        d = du * dz * dz
+        zz = _kernels.convolve(zs, zs, m)
+        uzz = _kernels.convolve(nums[:m], zz, m)
+        corr = [3 * d - uzz[0]] + [-c for c in uzz[1:]]
+        zs, dz = _primitive(_kernels.convolve(zs, corr, m), 2 * dz * d)
+    root = _kernels.convolve(nums, zs, p)
+    scale = du * dz * r0.denominator
+    return Series(s.lead // 2, [Fraction(c * r0.numerator, scale) if c else _ZERO for c in root])
 
 
 def poly_on_series(p: UniPoly, x: Series) -> Series:

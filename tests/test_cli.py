@@ -16,6 +16,7 @@ from ramloci.cli import (
     MAX_VERIFY_G,
     MAX_VERIFY_I,
     RunConfig,
+    _Parser,
     main,
     parse_curve,
     _parse_place,
@@ -28,6 +29,7 @@ from ramloci.errors import (
     NotMonicError,
 )
 from ramloci.formulas import CLOSED_FORMS, ClosedForm, certify
+from ramloci.numeric import UniPoly
 
 
 def run_cli(*argv):
@@ -83,6 +85,40 @@ class TestParseCurve:
         with pytest.raises(CurveSyntaxError) as err:
             parse_curve("y^2 = x^3 - !")
         assert err.value.position == 12
+
+    @pytest.mark.parametrize(
+        "equation, coeffs",
+        [
+            ("y^2 = x^3 + x^3 - x + 1/2*x", [0, Fraction(-1, 2), 0, 2]),
+            ("y^2 = -x + x^5 + 2*x - x^5 + 3/4", [Fraction(3, 4), 1]),
+            ("y^2 = x^2 - x^2", []),
+            ("y^2 = 1/3*x^7 + 1 - 1/3*x^7 + x^7", [1, 0, 0, 0, 0, 0, 0, 1]),
+        ],
+    )
+    def test_repeated_exponents_are_summed(self, equation, coeffs):
+        assert _Parser(equation).parse_equation() == UniPoly(coeffs)
+
+    @pytest.mark.parametrize(
+        "equation, message",
+        [
+            ("y^2 = x^3 - !", "unexpected character '!' (at position 12)"),
+            ("y^2 = x^3 - x extra", "unexpected character 'e' (at position 14)"),
+            ("y^2 = x^3 - y", "y may only appear on the left side (at position 12)"),
+            ("x^3 - x", "expected 'y', found 'x' (at position 0)"),
+            ("y^3 = x^3", "the left side must be y^2 (at position 2)"),
+            ("y^2 = ", "expected a coefficient or x, found 'end of input' (at position 6)"),
+            ("y^2 = x^3 + 1/0", "zero denominator (at position 14)"),
+            ("y^2 = x^99 + 1", "exponent 99 exceeds the degree cap 31 (at position 8)"),
+            ("y^2 = x^3 + * x", "expected a coefficient or x, found '*' (at position 12)"),
+            ("y^2 = x^3 +", "expected a coefficient or x, found 'end of input' (at position 11)"),
+            ("y^2 = x^ + 1", "expected num, found '+' (at position 9)"),
+            ("y^2 = x^3 - x + 1/2*x^3 x", "trailing input 'x' (at position 24)"),
+        ],
+    )
+    def test_syntax_error_messages(self, equation, message):
+        with pytest.raises(CurveSyntaxError) as err:
+            _Parser(equation).parse_equation()
+        assert str(err.value) == message
 
     def test_trailing_garbage(self):
         with pytest.raises(CurveSyntaxError):

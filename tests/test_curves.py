@@ -257,6 +257,48 @@ class TestPrecision:
             if place.kind != "infinity" and len(basis) > 1:
                 assert max(seen) > 1
 
+    def test_each_place_checked_once_per_frame(self, monkeypatch):
+        # from a tiny start every place doubles through several precisions
+        # and expands many functions at each one; only a new frame checks
+        import collections
+
+        import ramloci.curves as curves_mod
+
+        checked = []
+        real_check = HyperellipticModel.check_place
+
+        def spy_check(model, place):
+            checked.append((model, place))
+            return real_check(model, place)
+
+        monkeypatch.setattr(HyperellipticModel, "check_place", spy_check)
+        expansions = []
+        real_expand = curves_mod.expand_at
+
+        def spy_expand(model, fn, place, precision):
+            expansions.append((model, place, precision))
+            return real_expand(model, fn, place, precision)
+
+        monkeypatch.setattr(curves_mod, "expand_at", spy_expand)
+        monkeypatch.setattr(curves_mod, "start_precision", lambda g, i: 1)
+        _local_frame.cache_clear()
+        for i in (0, 2):
+            for model, place in PRECISION_PLACES:
+                order_sequence_at(model, build_basis(model, i), place)
+        frames = set(expansions)
+        assert len(expansions) > 3 * len(frames)
+        assert collections.Counter(checked) == collections.Counter((m, p) for m, p, _ in frames)
+        # a place off the curve raises on every call and is never cached
+        bad = Place.ordinary(2, 5)
+        with pytest.raises(NotOnCurveError) as direct:
+            real_check(E2, bad)
+        cached = _local_frame.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(NotOnCurveError) as raised:
+                expand_at(E2, DX_OVER_Y, bad, 8)
+            assert str(raised.value) == str(direct.value)
+        assert _local_frame.cache_info().currsize == cached
+
     @pytest.mark.parametrize("i", range(0, 9))
     def test_default_start_needs_no_doubling(self, monkeypatch, i):
         seen = _spy_expand_at(monkeypatch)

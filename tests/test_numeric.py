@@ -11,11 +11,13 @@ from ramloci.errors import (
     CannotDetermineValuationError,
     NotASquareError,
     PrecisionExhaustedError,
+    RamlociError,
 )
 from ramloci.numeric import (
     ParamPoly,
     Series,
     UniPoly,
+    _convolve_frac,
     bareiss_det,
     cofactor_det,
     poly_eval,
@@ -59,6 +61,126 @@ def _add_by_coefficients(a: Series, b: Series) -> Series:
         return Series(base, [a.coefficient(e) + b.coefficient(e) for e in range(base, top)], True)
     base = min(a.lead, b.lead, k)
     return Series(base, [a.coefficient(e) + b.coefficient(e) for e in range(base, k)])
+
+
+def _evaluate_by_fractions(p: UniPoly, v) -> Fraction:
+    """Reference: Horner's rule on Fractions."""
+    v = Fraction(v)
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * v + c
+    return acc
+
+
+def _shift_by_unipoly_horner(p: UniPoly, x0) -> UniPoly:
+    """Reference Taylor shift: Horner's rule on UniPoly objects in x0 + x."""
+    x0 = Fraction(x0)
+    acc = UniPoly()
+    lin = UniPoly([x0, 1])
+    for c in reversed(p.coeffs):
+        acc = acc * lin + UniPoly.const(c)
+    return acc
+
+
+def _root_multiplicity_by_division(p: UniPoly, x0) -> int:
+    """Reference: divide by x - x0 over Q while the value at x0 vanishes."""
+    if p.is_zero():
+        raise ValueError("every point is a root of the zero polynomial")
+    x0 = Fraction(x0)
+    lin = UniPoly([-x0, 1])
+    m = 0
+    while _evaluate_by_fractions(p, x0) == 0:
+        p = p.exact_div(lin)
+        m += 1
+    return m
+
+
+def _series_invert_by_fractions(s: Series, prec: int | None = None) -> Series:
+    """Reference: series_invert with its Newton loop on Fraction lists."""
+    if not s.coeffs:
+        raise CannotDetermineValuationError(
+            "cannot invert a series whose known coefficients are all zero"
+        )
+    if s.exact and len(s.coeffs) == 1:
+        return Series.monomial(-s.lead, 1 / s.coeffs[0])
+    if s.exact:
+        if prec is None:
+            raise ValueError("precision required to invert an exact series")
+        p = prec
+    else:
+        p = len(s.coeffs) if prec is None else min(prec, len(s.coeffs))
+    c0 = s.coeffs[0]
+    u = [c / c0 for c in s.coeffs[:p]]
+    x = [Fraction(1)]
+    m = 1
+    while m < p:
+        m = min(2 * m, p)
+        ux = _convolve_frac(u[:m], x, m)
+        two_minus = [2 - ux[0]] + [-c for c in ux[1:]]
+        x = _convolve_frac(x, two_minus, m)
+    return Series(-s.lead, [c / c0 for c in x])
+
+
+def _series_sqrt_by_fractions(s: Series, prec: int | None = None) -> Series:
+    """Reference: series_sqrt with its Newton loop on Fraction lists."""
+    if s.is_zero():
+        return s
+    if not s.coeffs:
+        raise CannotDetermineValuationError(
+            "cannot take the root of a series whose known coefficients are all zero"
+        )
+    if s.lead % 2:
+        raise NotASquareError(f"odd valuation {s.lead}")
+    c0 = s.coeffs[0]
+    r0 = rat_sqrt(c0)
+    if r0 is None:
+        raise NotASquareError(f"leading coefficient {c0} is not a square in Q")
+    if s.exact and len(s.coeffs) == 1:
+        return Series.monomial(s.lead // 2, r0)
+    if s.exact:
+        if prec is None:
+            raise ValueError("precision required for the root of an exact series")
+        p = prec
+    else:
+        p = len(s.coeffs) if prec is None else min(prec, len(s.coeffs))
+    u = [c / c0 for c in s.coeffs[:p]]
+    if len(u) < p:
+        u = u + [Fraction(0)] * (p - len(u))
+    z = [Fraction(1)]
+    m = 1
+    while m < p:
+        m = min(2 * m, p)
+        zz = _convolve_frac(z, z, m)
+        uzz = _convolve_frac(u[:m], zz, m)
+        corr = [Fraction(3) - uzz[0]] + [-c for c in uzz[1:]]
+        z = [c / 2 for c in _convolve_frac(z, corr, m)]
+    root = _convolve_frac(u, z, p)
+    return Series(s.lead // 2, [r0 * c for c in root])
+
+
+def _outcome(fn, *args):
+    """(lead, coeffs, exact) of the result, or the type and text of the error."""
+    try:
+        return _triple(fn(*args))
+    except (RamlociError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _kernel_calls(fn, *args):
+    """Outcome of fn plus the shape of every _kernels.convolve call it
+    makes: operand lengths, output length and the zero pattern of the
+    first operand, which together fix the traced call and mult counts."""
+    calls = []
+    convolve = _kernels.convolve
+
+    def spy(a, b, n_out):
+        calls.append((len(a), len(b), n_out, [bool(v) for v in a]))
+        return convolve(a, b, n_out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "convolve", spy)
+        out = _outcome(fn, *args)
+    return out, calls
 
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -425,6 +547,149 @@ class TestSeries:
                      for k, c in enumerate(p.coeffs))
         want = sympy.series(p_expr.subs(xs, expr(1, full)), t, 0, out.known_up_to).removeO()
         agrees(out, want)
+
+
+# Integer-numerator kernels against their Fraction references.
+kernel_coeffs = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**15)),
+)
+# degree 0..12, the zero polynomial included
+kernel_polys = st.lists(kernel_coeffs, max_size=13).map(UniPoly)
+nonzero_polys = st.lists(kernel_coeffs, min_size=1, max_size=9).map(UniPoly).filter(bool)
+points = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))
+windows = st.builds(
+    lambda lead, cs, exact: Series(lead, cs, exact=exact),
+    st.integers(-3, 3),
+    st.lists(kernel_coeffs, max_size=9),
+    st.booleans(),
+)
+square_windows = st.builds(
+    lambda half, r0, cs, exact: Series(2 * half, [r0 * r0] + cs, exact=exact),
+    st.integers(-2, 2),
+    kernel_coeffs.filter(bool),
+    st.lists(kernel_coeffs, max_size=8),
+    st.booleans(),
+)
+precs = st.one_of(st.none(), st.integers(1, 12))
+
+
+class TestIntegerKernels:
+    @given(kernel_polys, points)
+    @settings(deadline=None, max_examples=150)
+    def test_evaluate_matches_fractions(self, p, x0):
+        value = p.evaluate(x0)
+        assert type(value) is Fraction and value == _evaluate_by_fractions(p, x0)
+        if x0.denominator == 1:
+            assert p.evaluate(int(x0)) == value
+
+    @given(kernel_polys, points)
+    @settings(deadline=None, max_examples=150)
+    def test_shift_matches_unipoly_horner(self, p, x0):
+        out = p.shift(x0)
+        assert out.coeffs == _shift_by_unipoly_horner(p, x0).coeffs
+        assert all(type(c) is Fraction for c in out.coeffs)
+
+    @given(nonzero_polys, points, st.integers(0, 4))
+    @settings(deadline=None, max_examples=150)
+    def test_root_multiplicity_of_planted_roots(self, base, x0, m):
+        # (q x - p)^m with x0 = p/q, on top of whatever base contributes
+        p = base * UniPoly([-x0.numerator, x0.denominator]) ** m
+        got = p.root_multiplicity(x0)
+        assert got >= m and got == _root_multiplicity_by_division(p, x0)
+        assert p.root_multiplicity(x0 + 1) == _root_multiplicity_by_division(p, x0 + 1)
+
+    def test_zero_polynomial(self):
+        zero = UniPoly()
+        assert zero.evaluate(Fraction(3, 7)) == 0 and zero.shift(Fraction(-2, 3)) == zero
+        with pytest.raises(ValueError) as ours:
+            zero.root_multiplicity(1)
+        with pytest.raises(ValueError) as ref:
+            _root_multiplicity_by_division(zero, 1)
+        assert str(ours.value) == str(ref.value)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shift_and_multiplicity_match_sympy(self, seed):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(seed)
+        for _ in range(20):
+            x0 = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+            m = rng.randint(0, 4)
+            p = UniPoly([Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(rng.randint(1, 8))] + [1])
+            p = p * UniPoly([-x0.numerator, x0.denominator]) ** m
+            poly = sympy.Poly(
+                [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x, domain="QQ"
+            )
+            want = poly.shift(sympy.Rational(x0.numerator, x0.denominator)).all_coeffs()[::-1]
+            assert p.shift(x0).coeffs == tuple(Fraction(int(c.p), int(c.q)) for c in want)
+            roots = {Fraction(int(r.p), int(r.q)): k for r, k in poly.ground_roots().items()}
+            assert p.root_multiplicity(x0) == roots.get(x0, 0) >= m
+
+    @given(windows, precs)
+    @settings(deadline=None, max_examples=150)
+    def test_series_invert_matches_fractions(self, s, prec):
+        assert _kernel_calls(series_invert, s, prec) == _kernel_calls(_series_invert_by_fractions, s, prec)
+
+    @given(st.one_of(square_windows, windows), precs)
+    @settings(deadline=None, max_examples=150)
+    def test_series_sqrt_matches_fractions(self, s, prec):
+        assert _kernel_calls(series_sqrt, s, prec) == _kernel_calls(_series_sqrt_by_fractions, s, prec)
+
+    @pytest.mark.parametrize(
+        "s, prec",
+        [
+            (Series(0, [4, 1, 3], exact=True), 9),  # exact, prec above len(coeffs)
+            (Series(-2, [Fraction(9, 4), -5, 0, Fraction(1, 3)], exact=True), 12),
+            (Series(2, [Fraction(1, 9), 0, 7, 1, 1, 2, 3]), None),  # inexact window
+            (Series(2, [Fraction(1, 9), 0, 7, 1, 1, 2, 3]), 4),
+            (Series(2, [Fraction(1, 9), 0, 7, 1, 1, 2, 3]), 11),  # above the window
+            (Series(0, [10**30 + 1, Fraction(3, 10**20), -(10**25), 1]), None),
+            (Series(0, [3, 1], exact=True), 6),  # not a square
+            (Series(0, [-4, 1]), None),  # negative, not a square
+            (Series(1, [4, 1]), None),  # odd valuation
+            (Series(4, ()), 5),  # zero window
+            (Series(0, [2, 1], exact=True), None),  # exact needs prec
+        ],
+    )
+    def test_series_newton_cases(self, s, prec):
+        for ours, ref in ((series_invert, _series_invert_by_fractions), (series_sqrt, _series_sqrt_by_fractions)):
+            assert _kernel_calls(ours, s, prec) == _kernel_calls(ref, s, prec)
+        if not s.coeffs:
+            with pytest.raises(CannotDetermineValuationError):
+                series_invert(s, prec)
+            with pytest.raises(CannotDetermineValuationError):
+                series_sqrt(s, prec)
+        elif rat_sqrt(s.coeffs[0]) is None or s.lead % 2:
+            with pytest.raises(NotASquareError):
+                series_sqrt(s, prec)
+
+
+def _squarefree_part_by_sympy(sympy, x, p: UniPoly):
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(p.coeffs))
+    part = sympy.Poly(sympy.sqf_part(expr), x, domain="QQ").monic()
+    return UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(part.all_coeffs())])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_squarefree_matches_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(seed)
+    for _ in range(15):
+        p = UniPoly([Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(rng.randint(2, 5))])
+        if not p or p.degree < 1:
+            continue
+        # plant repeated linear and quadratic factors in about half the cases
+        for _ in range(rng.randint(0, 2)):
+            factor = UniPoly([rng.randint(-5, 5), rng.randint(-3, 3), rng.choice([0, 1])])
+            if factor.degree >= 1:
+                p = p * factor ** rng.randint(1, 3)
+        want = _squarefree_part_by_sympy(sympy, x, p)
+        assert p.squarefree_part() == want
+        is_sqf = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x).is_sqf
+        assert p.is_squarefree() is is_sqf
+        assert p.is_squarefree() is (want.degree == p.degree)
 
 
 def _rational_roots_by_divisors(p: UniPoly):
