@@ -52,6 +52,30 @@ def run_module(*argv, timeout=120):
 
 DATA = Path(__file__).resolve().parent / "data"
 
+# Curves of the benchmark workloads plus y^2 = x^3 - x: golden file -> argv.
+GOLDEN_CURVES = {
+    "split-genus2": "y^2 = x^5 - 10*x^4 + 35*x^3 - 50*x^2 + 24*x",
+    "nonsplit-genus3": "y^2 = x^7 - x + 1",
+    "nonsplit-elliptic": "y^2 = x^3 - 2*x + 5",
+    "two-torsion": "y^2 = x^3 - x",
+}
+CURVE_GOLDEN = (
+    [
+        (f"curve_weights_{name}_i{i}.json", ("weights", model, "--i", str(i), "--format", "json"))
+        for name, model in GOLDEN_CURVES.items()
+        for i in range(5)
+    ]
+    + [
+        (f"curve_torsion_nonsplit-elliptic_i{i}.json",
+         ("torsion", GOLDEN_CURVES["nonsplit-elliptic"], "--i", str(i), "--format", "json"))
+        for i in range(1, 7)
+    ]
+    + [
+        ("curve_orders_nonsplit-elliptic_i3_place1,2.pretty",
+         ("orders", GOLDEN_CURVES["nonsplit-elliptic"], "--i", "3", "--place", "1,2")),
+    ]
+)
+
 
 def _assert_one_error_line(proc, code):
     """The CLI contract: exit 2 and a single error[code] line, no traceback."""
@@ -274,6 +298,12 @@ class TestVerifyCommand:
         stem, fmt = golden.rsplit(".", 1)
         span = ("--g", "1..16", "--i", "0..16") if stem.endswith("i0-16") else ()
         code, text = run_cli("verify", *span, "--format", fmt)
+        assert code == 0
+        assert text.encode() == (DATA / golden).read_bytes()
+
+    @pytest.mark.parametrize("golden, argv", CURVE_GOLDEN, ids=[name for name, _ in CURVE_GOLDEN])
+    def test_curve_output_matches_golden_bytes(self, golden, argv):
+        code, text = run_cli("curve", *argv)
         assert code == 0
         assert text.encode() == (DATA / golden).read_bytes()
 
