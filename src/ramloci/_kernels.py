@@ -1,10 +1,10 @@
 """Integer convolution kernel behind every series and polynomial product.
 
 Series and polynomial coefficients are exact rationals.  The expensive
-inner loop (dense convolution) runs on integer numerator vectors scaled
-to a common denominator, so the per-element work is plain big-integer
-arithmetic; rational normalisation happens once per output coefficient,
-in the callers.
+inner loop (dense convolution) runs on integer numerator vectors over a
+common denominator, so the per-element work is plain big-integer
+arithmetic; the callers normalise the result (a ``Series`` once, by its
+content; a ``UniPoly`` once per coefficient).
 """
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -119,6 +119,15 @@ class HyperellipticModel:
     genus: int
     branch_x: tuple[Fraction, ...]
     splits: bool
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # computed once: the local-frame and division-polynomial caches
+        # hash the model on every lookup, and f determines the rest
+        object.__setattr__(self, "_hash", hash(self.f))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_poly(cls, f: UniPoly) -> "HyperellipticModel":
@@ -286,9 +295,9 @@ def _window_view(s: Series, up_to: int) -> Series:
     n = up_to - s.lead
     if n <= 0:
         return Series(up_to, ())
-    cs = list(s.coeffs[:n])
-    cs += [Fraction(0)] * (n - len(cs))
-    return Series(s.lead, cs)
+    nums = list(s.nums[:n])
+    nums += [0] * (n - len(nums))
+    return Series.from_numerators(s.lead, nums, s.den)
 
 
 def _solve_branch_parameter(fshift: UniPoly, prec: int) -> Series:
@@ -303,16 +312,16 @@ def _solve_branch_parameter(fshift: UniPoly, prec: int) -> Series:
         m = min(2 * m, max(prec, 8))
         window = _window_view(cand, m)
         err = poly_on_series(fshift, window) - target
-        if err.coeffs and err.lead < m:
+        if err.nums and err.lead < m:
             dfu = poly_on_series(fsd, window)
             corr = err * series_invert(dfu, prec=m)
             improved = window - corr
-            cand = Series(improved.lead, improved.coeffs, exact=True)
+            cand = Series.from_numerators(improved.lead, improved.nums, improved.den, exact=True)
         if m >= prec:
             break
     final = _window_view(cand, prec)
     check = poly_on_series(fshift, final) - target
-    if check.coeffs and check.lead < prec:
+    if check.nums and check.lead < prec:
         raise InternalCheckError("branch-place Newton inversion failed to converge")
     return final
 
@@ -411,7 +420,7 @@ def staircase_valuations(series_list) -> list[int]:
         by_val: dict[int, int] = {}
         clash = None
         for idx, s in enumerate(work):
-            if not s.coeffs:
+            if not s.nums:
                 raise InconclusiveError(
                     "a combination vanished to the full known precision"
                 )
@@ -424,7 +433,7 @@ def staircase_valuations(series_list) -> list[int]:
             return sorted(by_val)
         pivot = work[clash[0]]
         other = work[clash[1]]
-        ratio = other.coeffs[0] / pivot.coeffs[0]
+        ratio = Fraction(other.nums[0] * pivot.den, other.den * pivot.nums[0])
         work[clash[1]] = other - pivot.scale(ratio)
 
 

@@ -20,20 +20,19 @@ than silently returning a truncated value.  Series built from finite
 data (polynomials, monomials) are marked ``exact`` and behave as if the
 window were infinite.
 
-Products go through the integer kernel ``_kernels.convolve`` on
-numerators over a common denominator.  ``poly_on_series`` (Horner's rule,
-the inner loop of every local expansion) keeps its accumulator as
-integer numerators over one running denominator for the whole
-evaluation: one kernel call per step, a rescale only when a coefficient's
-denominator does not divide the running one, and ``Fraction`` objects
-built once, at the end.  Each step applies the windows and strips of
-``Series.__mul__`` and ``Series.__add__``, so the result equals Horner's
-rule on ``Series`` objects.  The constructors keep a coefficient that is
-already a ``Fraction``.  ``UniPoly.evaluate``, ``shift`` and
-``root_multiplicity`` run on integer numerators homogenised in the
-denominator q of the point p/q, and divide exactly by q x - p over Z.  The
-Newton loops of ``series_invert`` and ``series_sqrt`` carry one integer
-list over one denominator and remove its content at every step.
+A ``Series`` stores integer numerators over one positive denominator,
+with their common content removed; every constructor and operation goes
+through one normaliser, so the stored form is canonical and ``coeffs``
+builds ``Fraction`` objects only when asked.  A product is one call of
+the integer kernel ``_kernels.convolve`` on the stored numerators.
+``poly_on_series`` (the inner loop of every local expansion) is Horner's
+rule on ``Series`` objects.  The Newton loops of ``series_invert`` and
+``series_sqrt`` read the stored numerators and carry one integer list
+over one denominator, removing its content at every step.
+``UniPoly`` keeps ``Fraction`` coefficients, and a constructor keeps a
+coefficient that is already a ``Fraction``; ``UniPoly.evaluate``,
+``shift`` and ``root_multiplicity`` run on integer numerators homogenised
+in the denominator q of the point p/q, and divide exactly by q x - p over Z.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -612,30 +611,45 @@ def _integer_root_candidates(cs):
 class Series:
     """Truncated Laurent series in a local parameter t.
 
-    ``lead`` is an exact lower bound for the valuation and the first
-    stored coefficient is nonzero whenever any coefficient is stored, so
-    ``lead`` is the valuation itself for a visibly nonzero series.  The
-    coefficients are known exactly for every exponent below
+    Stored as t^lead * sum(nums[k] t^k) / den: integer numerators over
+    one positive denominator, with the common content of numerators and
+    denominator removed.  ``lead`` is an exact lower bound for the
+    valuation and the first numerator is nonzero whenever any is stored,
+    so ``lead`` is the valuation itself for a visibly nonzero series.
+    The coefficients are known exactly for every exponent below
     ``known_up_to``; an empty inexact series represents "zero modulo
-    t^lead" and an empty exact series is the true zero.
+    t^lead" and an empty exact series is the true zero.  The stored form
+    is canonical, so two series are equal iff their (lead, nums, den,
+    exact) are.
     """
 
-    __slots__ = ("lead", "coeffs", "exact")
+    __slots__ = ("lead", "nums", "den", "exact")
 
     def __init__(self, lead: int, coeffs=(), exact: bool = False):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        k = 0
-        while k < len(cs) and cs[k] == 0:
-            k += 1
-        lead += k
-        cs = cs[k:]
+        cs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*[c.denominator for c in cs])
+        self._store(lead, [c.numerator * (den // c.denominator) for c in cs], den, exact)
+
+    def _store(self, lead, nums, den, exact):
+        """The normaliser every constructor and operation goes through:
+        strip zero numerators (trailing ones only when exact), remove the
+        content and make den positive."""
+        lo, hi = 0, len(nums)
+        while lo < hi and not nums[lo]:
+            lo += 1
         if exact:
-            while cs and cs[-1] == 0:
-                cs.pop()
-            if not cs:
-                lead = 0
-        object.__setattr__(self, "lead", lead)
-        object.__setattr__(self, "coeffs", tuple(cs))
+            while hi > lo and not nums[hi - 1]:
+                hi -= 1
+        nums = nums[lo:hi]
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        object.__setattr__(self, "lead", 0 if exact and not nums else lead + lo)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "exact", bool(exact))
 
     def __setattr__(self, *a):
@@ -644,8 +658,16 @@ class Series:
     # -- constructors
 
     @classmethod
+    def from_numerators(cls, lead: int, nums, den: int, exact: bool = False) -> "Series":
+        """The series t^lead * sum(nums[k] t^k) / den, for integers nums
+        and a nonzero integer den."""
+        s = object.__new__(cls)
+        s._store(lead, nums, den, exact)
+        return s
+
+    @classmethod
     def zero(cls) -> "Series":
-        return cls(0, (), exact=True)
+        return cls.from_numerators(0, (), 1, exact=True)
 
     @classmethod
     def constant(cls, c) -> "Series":
@@ -658,12 +680,17 @@ class Series:
     # -- structure
 
     @property
+    def coeffs(self) -> tuple:
+        """The stored coefficients as Fractions, from the valuation on."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def known_up_to(self):
-        return _INF if self.exact else self.lead + len(self.coeffs)
+        return _INF if self.exact else self.lead + len(self.nums)
 
     @property
     def valuation(self) -> int:
-        if not self.coeffs:
+        if not self.nums:
             raise CannotDetermineValuationError(
                 "all known coefficients are zero"
             )
@@ -672,18 +699,18 @@ class Series:
     @property
     def precision(self) -> int:
         """Number of known coefficients starting at the valuation."""
-        return len(self.coeffs)
+        return len(self.nums)
 
     def is_zero(self) -> bool:
         """True only for the exact zero series."""
-        return self.exact and not self.coeffs
+        return self.exact and not self.nums
 
     def coefficient(self, e: int) -> Fraction:
         if e < self.lead:
             return Fraction(0)
         if e < self.known_up_to:
             idx = e - self.lead
-            return self.coeffs[idx] if idx < len(self.coeffs) else Fraction(0)
+            return Fraction(self.nums[idx], self.den) if idx < len(self.nums) else Fraction(0)
         raise PrecisionExhaustedError(
             f"coefficient of t^{e} requested but series is only known below t^{self.known_up_to}"
         )
@@ -691,14 +718,15 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return (self.lead, self.coeffs, self.exact) == (
+        return (self.lead, self.nums, self.den, self.exact) == (
             other.lead,
-            other.coeffs,
+            other.nums,
+            other.den,
             other.exact,
         )
 
     def __hash__(self):
-        return hash((self.lead, self.coeffs, self.exact))
+        return hash((self.lead, self.nums, self.den, self.exact))
 
     # -- arithmetic
 
@@ -707,7 +735,7 @@ class Series:
         if isinstance(other, Series):
             return other
         if isinstance(other, (int, Fraction)):
-            return Series.constant(other)
+            return Series.from_numerators(0, [other.numerator], other.denominator, exact=True)
         return NotImplemented
 
     def __add__(self, other):
@@ -722,22 +750,25 @@ class Series:
         exact = math.isinf(k)
         if exact:
             base = min(self.lead, other.lead)
-            top = max(self.lead + len(self.coeffs), other.lead + len(other.coeffs))
+            top = max(self.lead + len(self.nums), other.lead + len(other.nums))
         else:
             base = min(self.lead, other.lead, k)
             top = k
-        out = [_ZERO] * (top - base)
-        sc = self.coeffs[: max(0, top - self.lead)]
-        out[self.lead - base : self.lead - base + len(sc)] = sc
+        den = math.lcm(self.den, other.den)
+        out = [0] * (top - base)
+        sc = self.nums[: max(0, top - self.lead)]
+        scale = den // self.den
+        out[self.lead - base : self.lead - base + len(sc)] = [c * scale for c in sc]
+        scale = den // other.den
         off = other.lead - base
-        for j, c in enumerate(other.coeffs[: max(0, top - other.lead)]):
-            out[off + j] = out[off + j] + c if out[off + j] else c
-        return Series(base, out, exact=exact)
+        for j, c in enumerate(other.nums[: max(0, top - other.lead)]):
+            out[off + j] += c * scale
+        return Series.from_numerators(base, out, den, exact)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.lead, [-c for c in self.coeffs], self.exact)
+        return Series.from_numerators(self.lead, [-c for c in self.nums], self.den, self.exact)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -757,17 +788,15 @@ class Series:
         base = self.lead + other.lead
         k = min(self.lead + other.known_up_to, other.lead + self.known_up_to)
         if math.isinf(k):
-            n = len(self.coeffs) + len(other.coeffs) - 1
+            n = len(self.nums) + len(other.nums) - 1
             exact = True
         else:
             n = int(k) - base
             exact = False
-        if n <= 0 or not self.coeffs or not other.coeffs:
+        if n <= 0 or not self.nums or not other.nums:
             return Series(0 if math.isinf(k) else int(k), (), exact=exact)
-        return Series(
-            base,
-            _convolve_frac(list(self.coeffs), list(other.coeffs), n),
-            exact=exact,
+        return Series.from_numerators(
+            base, _kernels.convolve(self.nums, other.nums, n), self.den * other.den, exact
         )
 
     __rmul__ = __mul__
@@ -776,21 +805,24 @@ class Series:
         c = Fraction(c)
         if not c:
             return Series.zero()
-        return Series(self.lead, [c * a for a in self.coeffs], self.exact)
+        return Series.from_numerators(
+            self.lead, [c.numerator * a for a in self.nums], self.den * c.denominator, self.exact
+        )
 
     def shift(self, k: int) -> "Series":
         """Multiply by t^k."""
-        return Series(self.lead + k, self.coeffs, self.exact)
+        return Series.from_numerators(self.lead + k, self.nums, self.den, self.exact)
 
     def derivative(self) -> "Series":
-        cs = [(self.lead + k) * c for k, c in enumerate(self.coeffs)]
-        return Series(self.lead - 1, cs, self.exact)
+        nums = [(self.lead + k) * c for k, c in enumerate(self.nums)]
+        return Series.from_numerators(self.lead - 1, nums, self.den, self.exact)
 
     def __repr__(self):
         parts = []
-        for k, c in enumerate(self.coeffs[:8]):
-            if not c:
+        for k, v in enumerate(self.nums[:8]):
+            if not v:
                 continue
+            c = Fraction(v, self.den)
             e = self.lead + k
             ts = "1" if e == 0 else ("t" if e == 1 else f"t^{e}")
             parts.append(ts if c == 1 and e != 0 else (f"{c}" if e == 0 else f"{c}*{ts}"))
@@ -807,20 +839,20 @@ def series_invert(s: Series, prec: int | None = None) -> Series:
     coefficients; exact monomials invert exactly.  Exact multi-term
     inputs need an explicit ``prec`` since their inverse is infinite.
     """
-    if not s.coeffs:
+    if not s.nums:
         raise CannotDetermineValuationError(
             "cannot invert a series whose known coefficients are all zero"
         )
-    if s.exact and len(s.coeffs) == 1:
-        return Series.monomial(-s.lead, 1 / s.coeffs[0])
+    if s.exact and len(s.nums) == 1:
+        return Series.from_numerators(-s.lead, [s.den], s.nums[0], exact=True)
     if s.exact:
         if prec is None:
             raise ValueError("precision required to invert an exact series")
         p = prec
     else:
-        p = len(s.coeffs) if prec is None else min(prec, len(s.coeffs))
+        p = len(s.nums) if prec is None else min(prec, len(s.nums))
     # u = s / c0 is u_k = nums[k] / nums[0]; x = 1/u is xs / dx.
-    nums, den = _pack(s.coeffs[: max(p, 1)])
+    nums = s.nums[: max(p, 1)]
     du = nums[0]
     # Newton iteration x <- x(2 - u x), doubling the correct window
     xs, dx = [1], 1
@@ -831,7 +863,8 @@ def series_invert(s: Series, prec: int | None = None) -> Series:
         ux = _kernels.convolve(nums[:m], xs, m)
         two_minus = [2 * d - ux[0]] + [-c for c in ux[1:]]
         xs, dx = _primitive(_kernels.convolve(xs, two_minus, m), dx * d)
-    return Series(-s.lead, [Fraction(c * den, dx * du) if c else _ZERO for c in xs])
+    # 1/s = (1/u) / c0 with c0 = du / den
+    return Series.from_numerators(-s.lead, [c * s.den for c in xs], dx * du)
 
 
 def series_sqrt(s: Series, prec: int | None = None) -> Series:
@@ -844,26 +877,26 @@ def series_sqrt(s: Series, prec: int | None = None) -> Series:
     """
     if s.is_zero():
         return s
-    if not s.coeffs:
+    if not s.nums:
         raise CannotDetermineValuationError(
             "cannot take the root of a series whose known coefficients are all zero"
         )
     if s.lead % 2:
         raise NotASquareError(f"odd valuation {s.lead}")
-    c0 = s.coeffs[0]
+    c0 = Fraction(s.nums[0], s.den)
     r0 = rat_sqrt(c0)
     if r0 is None:
         raise NotASquareError(f"leading coefficient {c0} is not a square in Q")
-    if s.exact and len(s.coeffs) == 1:
+    if s.exact and len(s.nums) == 1:
         return Series.monomial(s.lead // 2, r0)
     if s.exact:
         if prec is None:
             raise ValueError("precision required for the root of an exact series")
         p = prec
     else:
-        p = len(s.coeffs) if prec is None else min(prec, len(s.coeffs))
+        p = len(s.nums) if prec is None else min(prec, len(s.nums))
     # u = s / c0 is u_k = nums[k] / nums[0]; z = u^(-1/2) is zs / dz.
-    nums = _pack(s.coeffs[: max(p, 1)])[0]
+    nums = list(s.nums[: max(p, 1)])
     du = nums[0]
     nums += [0] * (p - len(nums))
     zs, dz = [1], 1
@@ -875,65 +908,19 @@ def series_sqrt(s: Series, prec: int | None = None) -> Series:
         uzz = _kernels.convolve(nums[:m], zz, m)
         corr = [3 * d - uzz[0]] + [-c for c in uzz[1:]]
         zs, dz = _primitive(_kernels.convolve(zs, corr, m), 2 * dz * d)
+    # sqrt(s) = r0 * u * z
     root = _kernels.convolve(nums, zs, p)
-    scale = du * dz * r0.denominator
-    return Series(s.lead // 2, [Fraction(c * r0.numerator, scale) if c else _ZERO for c in root])
+    return Series.from_numerators(
+        s.lead // 2, [c * r0.numerator for c in root], du * dz * r0.denominator
+    )
 
 
 def poly_on_series(p: UniPoly, x: Series) -> Series:
-    """Evaluate a polynomial on a series by Horner's rule.
-
-    Each step is ``acc * x + c`` with the windows and strips of
-    ``Series.__mul__`` and ``Series.__add__``, but on integer numerators
-    over one running denominator.  ``acc`` is (lead, numerators, den,
-    exact), or None while it is the exact zero series.
-    """
-    xn, xd = _pack(x.coeffs)
-    x_top = x.known_up_to
-    acc = None
+    """Evaluate a polynomial on a series by Horner's rule."""
+    acc = Series.zero()
     for c in reversed(p.coeffs):
-        if acc is not None:  # acc * x
-            lead, nums, den, exact = acc
-            k = min(lead + x_top, x.lead + (_INF if exact else lead + len(nums)))
-            exact = math.isinf(k)
-            base = lead + x.lead
-            n = len(nums) + len(xn) - 1 if exact else k - base
-            if x.is_zero():
-                acc = None
-            elif n <= 0 or not nums or not xn:
-                acc = (k, [], den, False)
-            else:
-                acc = (base, _kernels.convolve(nums, xn, n), den * xd, exact)
-        if not c:
-            continue
-        if acc is None:
-            acc = (0, [c.numerator], c.denominator, True)
-            continue
-        # acc + c: t^0 lies in the window unless acc is known only below it
-        lead, nums, den, exact = acc
-        top = lead + len(nums)
-        if not exact and top <= 0:
-            continue
-        if den % c.denominator:
-            scale = c.denominator // math.gcd(den, c.denominator)
-            nums = [v * scale for v in nums]
-            den *= scale
-        base = min(lead, 0)
-        out = [0] * ((max(top, 1) if exact else top) - base)
-        out[lead - base : top - base] = nums
-        out[-base] += c.numerator * (den // c.denominator)
-        lo = 0
-        while lo < len(out) and not out[lo]:
-            lo += 1
-        hi = len(out)
-        if exact:
-            while hi > lo and not out[hi - 1]:
-                hi -= 1
-        acc = None if exact and lo == hi else (base + lo, out[lo:hi], den, exact)
-    if acc is None:
-        return Series.zero()
-    lead, nums, den, exact = acc
-    return Series(lead, [Fraction(v, den) if v else _ZERO for v in nums], exact=exact)
+        acc = acc * x + c
+    return acc
 
 
 # ---------------------------------------------------------------------------

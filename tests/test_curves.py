@@ -299,6 +299,23 @@ class TestPrecision:
             assert str(raised.value) == str(direct.value)
         assert _local_frame.cache_info().currsize == cached
 
+    def test_model_hash_is_computed_once(self, monkeypatch):
+        # every expand_at looks the model up in the _local_frame cache
+        model = HyperellipticModel.from_poly(X**3 - 2 * X + 5)
+        twin = HyperellipticModel.from_poly(X**3 - 2 * X + 5)
+        assert model == twin and hash(model) == hash(twin)
+        hashed = []
+        real_hash = UniPoly.__hash__
+
+        def spy_hash(p):
+            hashed.append(p)
+            return real_hash(p)
+
+        monkeypatch.setattr(UniPoly, "__hash__", spy_hash)
+        for _ in range(10):
+            expand_at(model, DX_OVER_Y, Place.infinity(), 8)
+        assert hashed == []
+
     @pytest.mark.parametrize("i", range(0, 9))
     def test_default_start_needs_no_doubling(self, monkeypatch, i):
         seen = _spy_expand_at(monkeypatch)

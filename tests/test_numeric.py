@@ -39,13 +39,39 @@ def _triple(s: Series):
     return (s.lead, s.coeffs, s.exact)
 
 
+def _assert_canonical(s: Series):
+    """The stored form: integer numerators over a positive denominator with
+    no common content, stripped, and equal to its rebuild from coeffs."""
+    assert type(s.den) is int and s.den > 0
+    assert all(type(v) is int for v in s.nums) and math.gcd(s.den, *s.nums) == 1
+    if s.nums:
+        assert s.nums[0] and (s.nums[-1] or not s.exact)
+    rebuilt = Series(s.lead, s.coeffs, s.exact)
+    assert s == rebuilt and hash(s) == hash(rebuilt)
+
+
 def _horner_on_series_objects(p: UniPoly, x: Series) -> Series:
-    """Reference: Horner's rule on Series objects, one Series.__mul__ and
-    one Series.__add__ per coefficient."""
+    """Reference: Horner's rule on the coefficientwise product and sum."""
     acc = Series.zero()
     for c in reversed(p.coeffs):
-        acc = acc * x + Series.constant(c)
+        acc = _add_by_coefficients(_mul_by_coefficients(acc, x), Series.constant(c))
     return acc
+
+
+def _mul_by_coefficients(a: Series, b: Series) -> Series:
+    """Reference product: each coefficient of the justified window is a sum
+    of Fraction products of coefficient() lookups."""
+    if a.is_zero() or b.is_zero():
+        return Series.zero()
+    base = a.lead + b.lead
+    k = min(a.lead + b.known_up_to, b.lead + a.known_up_to)
+    exact = math.isinf(k)
+    top = base + len(a.coeffs) + len(b.coeffs) - 1 if exact else k
+    cs = [
+        sum((a.coefficient(j) * b.coefficient(e - j) for j in range(a.lead, e - b.lead + 1)), Fraction(0))
+        for e in range(base, top)
+    ]
+    return Series(base, cs, exact)
 
 
 def _add_by_coefficients(a: Series, b: Series) -> Series:
@@ -493,6 +519,11 @@ class TestSeries:
     def test_add_matches_coefficientwise(self, a, b):
         assert _triple(a + b) == _triple(_add_by_coefficients(a, b))
 
+    @given(series_values, series_values)
+    @settings(deadline=None, max_examples=200)
+    def test_mul_matches_coefficientwise(self, a, b):
+        assert _triple(a * b) == _triple(_mul_by_coefficients(a, b))
+
     def test_constructors_store_fractions(self):
         half = Fraction(1, 2)
         for values in ([1, True, half, 0], [False, 3, -2, half], [half]):
@@ -500,8 +531,8 @@ class TestSeries:
             u = UniPoly(values)
             for coeffs in (s.coeffs, u.coeffs):
                 assert all(type(c) is Fraction for c in coeffs)
-        # a Fraction is kept as it is, not rebuilt
-        assert Series(0, [half]).coeffs[0] is half
+        _assert_canonical(Series(0, [half]))
+        # UniPoly keeps a Fraction as it is, not rebuilt
         assert UniPoly([0, half]).coeffs[1] is half
 
     @pytest.mark.parametrize("seed", range(3))
@@ -635,6 +666,25 @@ class TestIntegerKernels:
     @settings(deadline=None, max_examples=150)
     def test_series_sqrt_matches_fractions(self, s, prec):
         assert _kernel_calls(series_sqrt, s, prec) == _kernel_calls(_series_sqrt_by_fractions, s, prec)
+
+    @given(
+        st.one_of(series_values, windows, square_windows),
+        st.one_of(series_values, windows),
+        kernel_coeffs,
+        st.integers(-3, 3),
+        polys,
+        precs,
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_every_operation_returns_the_canonical_form(self, a, b, c, k, p, prec):
+        out = [a + b, a - b, a * b, a.scale(c), a.shift(k), a.derivative(), poly_on_series(p, a)]
+        for fn in (series_invert, series_sqrt):
+            try:
+                out.append(fn(a, prec))
+            except (RamlociError, ValueError):
+                pass
+        for s in out:
+            _assert_canonical(s)
 
     @pytest.mark.parametrize(
         "s, prec",
