@@ -1,10 +1,10 @@
 """Integer convolution kernel behind every series and polynomial product.
 
-Series and polynomial coefficients are exact rationals.  The expensive
-inner loop (dense convolution) runs on integer numerator vectors over a
-common denominator, so the per-element work is plain big-integer
-arithmetic; the callers normalise the result (a ``Series`` once, by its
-content; a ``UniPoly`` once per coefficient).
+Series and polynomial coefficients are exact rationals, stored by both
+``Series`` and ``UniPoly`` as integer numerators over one denominator.
+A product convolves the two numerator vectors here, so the per-element
+work is plain big-integer arithmetic, and the caller normalises the
+result once, by its content.
 """
 
 

@@ -50,10 +50,6 @@ class ChernPoly:
             raise ValueError("c2 must be purely of degree 2")
 
     @classmethod
-    def trivial(cls, ring: ChowRing) -> "ChernPoly":
-        return cls(ring)
-
-    @classmethod
     def of_line_bundle(cls, ring: ChowRing, c1: ChowClass) -> "ChernPoly":
         return cls(ring, c1=c1.degree1_part())
 

@@ -339,7 +339,10 @@ def _local_frame(model: HyperellipticModel, place: Place, prec: int):
     if place.kind == ORDINARY:
         x0, y0 = place.x, place.y
         fs = f.shift(x0)
-        unit = Series(0, [c / (y0 * y0) for c in fs.coeffs], exact=True)
+        # the unit f(x0 + t) / y0^2, on the stored numerators
+        yn, yd = y0.numerator, y0.denominator
+        nums = [c * yd * yd for c in fs.nums]
+        unit = Series.from_numerators(0, nums, fs.den * yn * yn, exact=True)
         y = series_sqrt(unit, prec=prec).scale(y0)
         x = Series(0, [x0, 1], exact=True)
         dxdt = Series.constant(1)
@@ -351,10 +354,10 @@ def _local_frame(model: HyperellipticModel, place: Place, prec: int):
         dxdt = u.derivative()
     else:
         w = 2 * g + 1
-        rev = [Fraction(0)] * (2 * w + 1)
-        for k, c in enumerate(f.coeffs):
+        rev = [0] * (2 * w + 1)
+        for k, c in enumerate(f.nums):
             rev[2 * w - 2 * k] = c
-        s = series_sqrt(Series(0, rev, exact=True), prec=prec)
+        s = series_sqrt(Series.from_numerators(0, rev, f.den, exact=True), prec=prec)
         y = s.shift(-w)
         x = Series.monomial(-2, 1)
         dxdt = Series.monomial(-3, -2)
@@ -632,10 +635,6 @@ class WeightReport:
     remainder_ordinary: int
     remainder_branch: int
     total: int
-
-    @property
-    def located_total(self) -> int:
-        return sum(os.weight for _, os in self.entries)
 
 
 def total_weight(model: HyperellipticModel, i: int) -> WeightReport:

@@ -20,19 +20,21 @@ than silently returning a truncated value.  Series built from finite
 data (polynomials, monomials) are marked ``exact`` and behave as if the
 window were infinite.
 
-A ``Series`` stores integer numerators over one positive denominator,
-with their common content removed; every constructor and operation goes
-through one normaliser, so the stored form is canonical and ``coeffs``
-builds ``Fraction`` objects only when asked.  A product is one call of
-the integer kernel ``_kernels.convolve`` on the stored numerators.
-``poly_on_series`` (the inner loop of every local expansion) is Horner's
-rule on ``Series`` objects.  The Newton loops of ``series_invert`` and
-``series_sqrt`` read the stored numerators and carry one integer list
-over one denominator, removing its content at every step.
-``UniPoly`` keeps ``Fraction`` coefficients, and a constructor keeps a
-coefficient that is already a ``Fraction``; ``UniPoly.evaluate``,
-``shift`` and ``root_multiplicity`` run on integer numerators homogenised
-in the denominator q of the point p/q, and divide exactly by q x - p over Z.
+``UniPoly`` and ``Series`` both store integer numerators over one
+positive denominator, with their common content removed.  ``_pack`` is
+the one way in from rationals and ``_primitive`` the one normaliser, so
+the stored form is canonical and ``coeffs`` builds ``Fraction`` objects
+only when asked.  A product is one call of the integer kernel
+``_kernels.convolve`` on the stored numerators.  Every polynomial
+division (``exact_div``, ``divmod``, the pseudo-remainders of ``gcd``
+and the division by q x - p in ``root_multiplicity``) is one integer
+long-division loop, ``_long_div``; exact division divides by the
+primitive part of the divisor, which stays over Z by Gauss's lemma, so
+fraction-free Bareiss runs over Z[x].  ``poly_on_series`` (the inner
+loop of every local expansion) is Horner's rule on ``Series`` objects
+with the integer numerators of the polynomial.  The Newton loops of
+``series_invert`` and ``series_sqrt`` carry one integer list over one
+denominator, removing its content at every step.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -68,30 +70,40 @@ def rat_sqrt(q: Fraction):
 
 
 def _pack(coeffs):
-    """Scale rationals to a common denominator: returns (int list, den)."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-_ZERO = Fraction(0)
-
-
-def _convolve_frac(a, b, n_out):
-    """Truncated product of rational coefficient lists via the int kernel."""
-    pa, da = _pack(a)
-    pb, db = _pack(b)
-    dd = da * db
-    if dd == 1:
-        return [Fraction(c) if c else _ZERO for c in _kernels.convolve(pa, pb, n_out)]
-    return [Fraction(c, dd) if c else _ZERO for c in _kernels.convolve(pa, pb, n_out)]
+    """Scale rationals (anything ``Fraction`` accepts) to a common
+    denominator: returns (int list, den)."""
+    cs = [c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs]
+    den = math.lcm(*[c.denominator for c in cs])
+    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 def _primitive(nums, den):
-    """(nums, den) with the common content of the numerators and den removed."""
+    """(nums, den) with the common content of the numerators and den
+    removed and den made positive; with den = 0 the primitive part of nums."""
     g = math.gcd(den, *nums)
-    return ([c // g for c in nums], den // g) if g > 1 else (nums, den)
+    if den < 0:
+        g = -g
+    return ([c // g for c in nums], den // g) if g != 1 else (nums, den)
+
+
+def _long_div(nums, divisor):
+    """Long division over Z of the integer list ``nums`` by ``divisor``:
+    (quotient, remainder) as integer lists, or None as soon as a quotient
+    coefficient is not an integer.  Each step is one exact ``divmod`` by
+    the lead of the divisor; a caller that needs every step to succeed
+    scales ``nums`` by a power of that lead first."""
+    rem = list(nums)
+    n = len(divisor) - 1
+    lead = divisor[-1]
+    quo = [0] * max(len(rem) - n, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[k + n], lead)
+        if r:
+            return None
+        quo[k] = c
+        if c:
+            rem[k : k + n] = [a - c * b for a, b in zip(rem[k : k + n], divisor)]
+    return quo, rem[:n]
 
 
 def _homogeneous_value(nums, p: int, q: int) -> int:
@@ -237,14 +249,6 @@ class ParamPoly:
             for i in i_points
         ]
 
-    def subs_i(self, value) -> "ParamPoly":
-        """Substitute a constant for i, leaving a polynomial in g."""
-        value = Fraction(value)
-        terms = {}
-        for (eg, ei), c in self.terms.items():
-            terms[(eg, 0)] = terms.get((eg, 0), Fraction(0)) + c * value**ei
-        return ParamPoly(terms)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -277,18 +281,40 @@ def poly_eval(p: ParamPoly, g, i) -> Fraction:
 
 
 class UniPoly:
-    """Dense univariate polynomial over Q; the zero polynomial has no terms."""
+    """Dense univariate polynomial over Q; the zero polynomial has no terms.
 
-    __slots__ = ("coeffs",)
+    Stored as sum(nums[k] x^k) / den: integer numerators over one positive
+    denominator, with the common content of numerators and denominator
+    removed and no trailing zero numerator.  The stored form is
+    canonical, so two polynomials are equal iff their (nums, den) are.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._store(*_pack(coeffs))
+
+    def _store(self, nums, den):
+        """The normaliser every constructor and operation goes through:
+        strip trailing zero numerators, remove the content and make den
+        positive."""
+        hi = len(nums)
+        while hi and not nums[hi - 1]:
+            hi -= 1
+        nums, den = _primitive(nums[:hi], den)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("UniPoly is immutable")
+
+    @classmethod
+    def from_numerators(cls, nums, den: int = 1) -> "UniPoly":
+        """The polynomial sum(nums[k] x^k) / den, for integers nums and a
+        nonzero integer den."""
+        p = object.__new__(cls)
+        p._store(nums, den)
+        return p
 
     @classmethod
     def const(cls, c) -> "UniPoly":
@@ -299,43 +325,53 @@ class UniPoly:
         return cls([0, 1])
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, constant term first."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     @property
     def lead(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __getitem__(self, k) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, UniPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return UniPoly([other])
+            return UniPoly.from_numerators([other.numerator], other.denominator)
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self[k] + other[k] for k in range(n)])
+        den = math.lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.nums]
+        b = [c * (den // other.den) for c in other.nums]
+        if len(a) < len(b):
+            a, b = b, a
+        a[: len(b)] = [x + y for x, y in zip(a, b)]
+        return UniPoly.from_numerators(a, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly.from_numerators([-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -352,8 +388,10 @@ class UniPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return UniPoly()
-        n = len(self.coeffs) + len(other.coeffs) - 1
-        return UniPoly(_convolve_frac(list(self.coeffs), list(other.coeffs), n))
+        n = len(self.nums) + len(other.nums) - 1
+        return UniPoly.from_numerators(
+            _kernels.convolve(self.nums, other.nums, n), self.den * other.den
+        )
 
     __rmul__ = __mul__
 
@@ -370,29 +408,33 @@ class UniPoly:
         return out
 
     def __divmod__(self, other):
+        """Quotient and remainder over Q: the numerators, scaled by
+        lead^(dq+1) so that every step of the integer long division is
+        exact, are divided by other's; the scale goes into den."""
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        dq = len(self.nums) - len(other.nums)
         if dq < 0:
             return UniPoly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        inv_lead = 1 / other.lead
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lead
-            quo[k] = c
-            if c:
-                for j, oc in enumerate(other.coeffs):
-                    rem[k + j] -= c * oc
-        return UniPoly(quo), UniPoly(rem)
+        scale = other.nums[-1] ** (dq + 1)
+        quo, rem = _long_div([c * scale for c in self.nums], other.nums)
+        den = self.den * scale
+        quo = UniPoly.from_numerators([c * other.den for c in quo], den)
+        return quo, UniPoly.from_numerators(rem, den)
 
     def exact_div(self, other) -> "UniPoly":
-        """Quotient self/other, raising if the division is not exact."""
-        q, r = divmod(self, other)
-        if not r.is_zero():
+        """Quotient self/other, raising if the division is not exact.  The
+        numerators are divided by the primitive part of other's, which by
+        Gauss's lemma leaves an integer quotient whenever it divides."""
+        other = self._coerce(other)
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        content = math.gcd(*other.nums)
+        out = _long_div(self.nums, [c // content for c in other.nums])
+        if out is None or any(out[1]):
             raise ValueError("inexact polynomial division")
-        return q
+        return UniPoly.from_numerators([c * other.den for c in out[0]], self.den * content)
 
     __truediv__ = exact_div
 
@@ -400,25 +442,18 @@ class UniPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return UniPoly.from_numerators([k * c for k, c in enumerate(self.nums)][1:], self.den)
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        inv = 1 / self.lead
-        return UniPoly([c * inv for c in self.coeffs])
-
-    def _int_coeffs(self):
-        """Primitive integer coefficient list (content removed)."""
-        ints = _pack(self.coeffs)[0]
-        content = math.gcd(*ints)
-        return [c // content for c in ints] if content > 1 else ints
+        return UniPoly.from_numerators(self.nums, self.nums[-1])
 
     def gcd(self, other) -> "UniPoly":
         """Monic greatest common divisor, via a primitive pseudo-remainder
@@ -428,33 +463,19 @@ class UniPoly:
             return other.monic()
         if other.is_zero():
             return self.monic()
-        a = self._int_coeffs()
-        b = other._int_coeffs()
+        a = _primitive(self.nums, 0)[0]
+        b = _primitive(other.nums, 0)[0]
         if len(a) < len(b):
             a, b = b, a
         while len(b) > 1:
             # primitive pseudo-remainder of a by b
-            r = list(a)
-            db = len(b) - 1
-            lb = b[-1]
-            while r and len(r) - 1 >= db:
-                c = r.pop()
-                if lb != 1:
-                    r = [lb * x for x in r]
-                if c:
-                    shift = len(r) - db
-                    for j in range(db):
-                        r[shift + j] -= c * b[j]
-                while r and r[-1] == 0:
-                    r.pop()
+            scale = b[-1] ** (len(a) - len(b) + 1)
+            r = _long_div([c * scale for c in a], b)[1]
+            while r and not r[-1]:
+                r.pop()
             if not r:
-                return UniPoly(b).monic()
-            content = 0
-            for c in r:
-                content = math.gcd(content, c)
-            if content > 1:
-                r = [x // content for x in r]
-            a, b = b, r
+                return UniPoly.from_numerators(b, b[-1])
+            a, b = b, _primitive(r, 0)[0]
         return UniPoly.const(1)
 
     def squarefree_part(self) -> "UniPoly":
@@ -468,43 +489,36 @@ class UniPoly:
 
     def evaluate(self, v) -> Fraction:
         v = Fraction(v)
-        nums, den = _pack(self.coeffs)
-        acc = _homogeneous_value(nums, v.numerator, v.denominator)
-        return Fraction(acc, den * v.denominator ** max(len(nums) - 1, 0))
+        acc = _homogeneous_value(self.nums, v.numerator, v.denominator)
+        return Fraction(acc, self.den * v.denominator ** max(len(self.nums) - 1, 0))
 
     def shift(self, x0) -> "UniPoly":
-        """Taylor shift: the polynomial p(x0 + x).  For x0 = p/q with
-        numerators n_k over den, the integer Taylor shift t of the
-        n_k q^(n-k) by p gives coefficient j as t_j / (den q^(n-j))."""
+        """Taylor shift: the polynomial p(x0 + x).  For x0 = p/q the
+        integer Taylor shift t of the nums[k] q^(n-k) by p gives
+        coefficient j as t_j / (den q^(n-j))."""
+        if self.is_zero():
+            return self
         x0 = Fraction(x0)
         p, q = x0.numerator, x0.denominator
-        nums, den = _pack(self.coeffs)
-        n = len(nums) - 1
-        if q != 1:
-            nums = [c * q ** (n - k) for k, c in enumerate(nums)]
+        n = self.degree
+        nums = [c * q ** (n - k) for k, c in enumerate(self.nums)]
         if p:
             for i in range(n):
                 for j in range(n - 1, i - 1, -1):
                     nums[j] += p * nums[j + 1]
-        return UniPoly([Fraction(c, den * q ** (n - j)) if c else _ZERO for j, c in enumerate(nums)])
+        return UniPoly.from_numerators([c * q**j for j, c in enumerate(nums)], self.den * q**n)
 
     def root_multiplicity(self, x0) -> int:
-        """Multiplicity of x0 = p/q as a root (0 when p(x0) != 0).  The
-        integer numerators are divided by the primitive q x - p, exactly
-        over Z by Gauss's lemma, while their value at x0 vanishes."""
+        """Multiplicity of x0 = p/q as a root (0 when p(x0) != 0): how many
+        times the numerators divide by the primitive q x - p, exactly over
+        Z by Gauss's lemma."""
         if self.is_zero():
             raise ValueError("every point is a root of the zero polynomial")
         x0 = Fraction(x0)
-        p, q = x0.numerator, x0.denominator
-        nums = _pack(self.coeffs)[0]
-        m = 0
-        while not _homogeneous_value(nums, p, q):
-            # a_k = q b_(k-1) - p b_k, solved from the top; b_(k-1) goes to slot k
-            b = 0
-            for k in range(len(nums) - 1, 0, -1):
-                b = nums[k] = (nums[k] + p * b) // q
-            del nums[0]
-            m += 1
+        lin = [-x0.numerator, x0.denominator]
+        nums, m = self.nums, 0
+        while (out := _long_div(nums, lin)) and not any(out[1]):
+            nums, m = out[0], m + 1
         return m
 
     def rational_roots(self):
@@ -524,13 +538,14 @@ class UniPoly:
         roots = []
         # factor out x^k first
         k = 0
-        while p.coeffs and p.coeffs[0] == 0:
-            p = UniPoly(p.coeffs[1:])
+        while not p.nums[k]:
             k += 1
         if k:
+            p = UniPoly.from_numerators(p.nums[k:], p.den)
             roots.append((Fraction(0), k))
         if p.degree >= 1:
-            ints = p.squarefree_part()._int_coeffs()
+            # a monic canonical polynomial has primitive numerators
+            ints = p.squarefree_part().nums
             n, lead = len(ints) - 1, ints[-1]
             q = [c * lead ** (n - 1 - j) for j, c in enumerate(ints[:-1])] + [1]
             for z in _integer_root_candidates(q):
@@ -626,9 +641,7 @@ class Series:
     __slots__ = ("lead", "nums", "den", "exact")
 
     def __init__(self, lead: int, coeffs=(), exact: bool = False):
-        cs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*[c.denominator for c in cs])
-        self._store(lead, [c.numerator * (den // c.denominator) for c in cs], den, exact)
+        self._store(lead, *_pack(coeffs), exact)
 
     def _store(self, lead, nums, den, exact):
         """The normaliser every constructor and operation goes through:
@@ -640,13 +653,7 @@ class Series:
         if exact:
             while hi > lo and not nums[hi - 1]:
                 hi -= 1
-        nums = nums[lo:hi]
-        g = math.gcd(den, *nums)
-        if den < 0:
-            g = -g
-        if g != 1:
-            nums = [c // g for c in nums]
-            den //= g
+        nums, den = _primitive(nums[lo:hi], den)
         object.__setattr__(self, "lead", 0 if exact and not nums else lead + lo)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
@@ -916,11 +923,12 @@ def series_sqrt(s: Series, prec: int | None = None) -> Series:
 
 
 def poly_on_series(p: UniPoly, x: Series) -> Series:
-    """Evaluate a polynomial on a series by Horner's rule."""
+    """Evaluate a polynomial on a series by Horner's rule on its integer
+    numerators, dividing by its denominator once."""
     acc = Series.zero()
-    for c in reversed(p.coeffs):
+    for c in reversed(p.nums):
         acc = acc * x + c
-    return acc
+    return acc if p.den == 1 else acc.scale(Fraction(1, p.den))
 
 
 # ---------------------------------------------------------------------------
@@ -961,19 +969,3 @@ def bareiss_det(matrix):
         prev = pivot
     det = m[n - 1][n - 1]
     return det if sign > 0 else -det
-
-
-def cofactor_det(matrix):
-    """Reference determinant by cofactor expansion (exponential; tests only)."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * cofactor_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total

@@ -78,7 +78,7 @@ class TestPorteous:
             )
             c2 = ChowClass(cPt=rng.randint(-9, 9))
             a = ChernPoly(ring, c1=c1, c2=c2)
-            assert porteous_c2(a, ChernPoly.trivial(ring)) == c2
+            assert porteous_c2(a, ChernPoly(ring)) == c2
 
     def test_reduces_to_c2_minus_c1c1(self):
         # for a divisor pulled back from the first factor: c1^2 = c2 = 0

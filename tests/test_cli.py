@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -7,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ramloci
 from ramloci import formulas
@@ -508,6 +511,22 @@ class TestExitCodeMapping:
         monkeypatch.setattr(cli_mod, "total_weight", boom)
         code, _ = run_cli("curve", "weights", "y^2 = x^3 - x", "--i", "1")
         assert code == 3
+
+
+@settings(deadline=None, max_examples=300)
+@given(prefix=st.booleans(), body=st.text(alphabet="xy^=+-*/0123456789 ()", max_size=40))
+def test_curve_text_fuzz_keeps_the_exit_contract(prefix, body):
+    """Random equation text never raises: it succeeds, or exits 2 or 3
+    with exactly one error[code] line on stderr."""
+    text = ("y^2 = " if prefix else "") + body
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli("curve", "weights", text, "--i", "1")
+    if code:
+        assert code in (2, 3)
+        assert err.getvalue().startswith("error[") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
 
 
 def test_python_dash_m_entry_point():

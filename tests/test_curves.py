@@ -33,7 +33,9 @@ from ramloci.errors import (
     NotSquarefreeError,
     UnsupportedModelError,
 )
-from ramloci.numeric import Series, UniPoly, bareiss_det, cofactor_det
+from ramloci.numeric import Series, UniPoly, bareiss_det
+
+from _reference import cofactor_det
 
 X = UniPoly.x()
 
@@ -544,7 +546,7 @@ class TestTotalWeight:
         split=st.booleans(),
         roots=st.lists(st.integers(-6, 6), min_size=7, max_size=7, unique=True),
         coeffs=st.lists(st.integers(-9, 9), min_size=7, max_size=7),
-        i=st.integers(0, 2),
+        i=st.integers(0, 4),
     )
     def test_weight_bookkeeping_on_random_curves(self, degree, split, roots, coeffs, i):
         """Random monic squarefree odd f, split over small integer roots
@@ -562,9 +564,9 @@ class TestTotalWeight:
             assume(False)
         g = model.genus
         report = total_weight(model, i)
-        assert report.located_total == sum(seq.weight for _, seq in report.entries)
+        located = sum(seq.weight for _, seq in report.entries)
         assert report.total == g * (g + i) ** 2
-        assert report.located_total + report.remainder == report.total
+        assert located + report.remainder == report.total
         assert report.remainder_branch >= 0 and report.remainder_ordinary >= 0
         assert report.remainder == report.remainder_branch + report.remainder_ordinary
 

@@ -17,15 +17,16 @@ from ramloci.numeric import (
     ParamPoly,
     Series,
     UniPoly,
-    _convolve_frac,
+    _pack,
     bareiss_det,
-    cofactor_det,
     poly_eval,
     poly_on_series,
     rat_sqrt,
     series_invert,
     series_sqrt,
 )
+
+from _reference import cofactor_det
 
 G = ParamPoly.g()
 I = ParamPoly.i()
@@ -39,15 +40,61 @@ def _triple(s: Series):
     return (s.lead, s.coeffs, s.exact)
 
 
-def _assert_canonical(s: Series):
-    """The stored form: integer numerators over a positive denominator with
-    no common content, stripped, and equal to its rebuild from coeffs."""
+def _assert_canonical(s):
+    """The stored form of a Series or UniPoly: integer numerators over a
+    positive denominator with no common content, stripped, and equal to
+    its rebuild from coeffs."""
     assert type(s.den) is int and s.den > 0
-    assert all(type(v) is int for v in s.nums) and math.gcd(s.den, *s.nums) == 1
-    if s.nums:
-        assert s.nums[0] and (s.nums[-1] or not s.exact)
-    rebuilt = Series(s.lead, s.coeffs, s.exact)
+    assert type(s.nums) is tuple and all(type(v) is int for v in s.nums)
+    assert math.gcd(s.den, *s.nums) == 1
+    if isinstance(s, UniPoly):
+        assert not s.nums or s.nums[-1]
+        rebuilt = UniPoly(s.coeffs)
+    else:
+        if s.nums:
+            assert s.nums[0] and (s.nums[-1] or not s.exact)
+        rebuilt = Series(s.lead, s.coeffs, s.exact)
     assert s == rebuilt and hash(s) == hash(rebuilt)
+
+
+def _convolve_frac(a, b, n_out):
+    """Reference: truncated product of Fraction lists through the int kernel."""
+    pa, da = _pack(a)
+    pb, db = _pack(b)
+    return [Fraction(c, da * db) for c in _kernels.convolve(pa, pb, n_out)]
+
+
+def _divmod_by_fractions(p: UniPoly, d: UniPoly):
+    """Reference: schoolbook long division over Q on Fraction lists."""
+    if d.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p.coeffs)
+    dq = len(rem) - len(d.coeffs)
+    if dq < 0:
+        return UniPoly(), p
+    quo = [Fraction(0)] * (dq + 1)
+    inv_lead = 1 / d.lead
+    for k in range(dq, -1, -1):
+        c = rem[k + d.degree] * inv_lead
+        quo[k] = c
+        if c:
+            for j, dc in enumerate(d.coeffs):
+                rem[k + j] -= c * dc
+    return UniPoly(quo), UniPoly(rem)
+
+
+def _exact_div_by_fractions(p: UniPoly, d: UniPoly) -> UniPoly:
+    q, r = _divmod_by_fractions(p, d)
+    if r:
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def _gcd_by_fractions(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Reference: Euclid's algorithm over Q, made monic."""
+    while q:
+        p, q = q, _divmod_by_fractions(p, q)[1]
+    return p if p.is_zero() else p * (1 / p.lead)
 
 
 def _horner_on_series_objects(p: UniPoly, x: Series) -> Series:
@@ -116,7 +163,7 @@ def _root_multiplicity_by_division(p: UniPoly, x0) -> int:
     lin = UniPoly([-x0, 1])
     m = 0
     while _evaluate_by_fractions(p, x0) == 0:
-        p = p.exact_div(lin)
+        p = _exact_div_by_fractions(p, lin)
         m += 1
     return m
 
@@ -185,11 +232,13 @@ def _series_sqrt_by_fractions(s: Series, prec: int | None = None) -> Series:
 
 
 def _outcome(fn, *args):
-    """(lead, coeffs, exact) of the result, or the type and text of the error."""
+    """The result ((lead, coeffs, exact) for a Series), or the type and
+    text of the error."""
     try:
-        return _triple(fn(*args))
+        out = fn(*args)
     except (RamlociError, ValueError) as exc:
         return type(exc), str(exc)
+    return _triple(out) if isinstance(out, Series) else out
 
 
 def _kernel_calls(fn, *args):
@@ -249,11 +298,6 @@ class TestParamPoly:
     def test_equality_is_term_map_equality(self):
         assert (G + I) * (G - I) == G**2 - I**2
         assert G * I != I
-
-    def test_subs_i(self):
-        p = (G + I) ** 2
-        assert p.subs_i(0) == G**2
-        assert p.subs_i(2) == G**2 + 4 * G + 4
 
     def test_degrees(self):
         assert (G**2 * I + I**3).degrees() == (2, 3)
@@ -531,9 +575,10 @@ class TestSeries:
             u = UniPoly(values)
             for coeffs in (s.coeffs, u.coeffs):
                 assert all(type(c) is Fraction for c in coeffs)
+            _assert_canonical(s)
+            _assert_canonical(u)
         _assert_canonical(Series(0, [half]))
-        # UniPoly keeps a Fraction as it is, not rebuilt
-        assert UniPoly([0, half]).coeffs[1] is half
+        assert UniPoly([0, half]).coeffs[1] == half
 
     @pytest.mark.parametrize("seed", range(3))
     def test_kernels_match_sympy_series(self, seed):
@@ -630,8 +675,29 @@ class TestIntegerKernels:
         assert got >= m and got == _root_multiplicity_by_division(p, x0)
         assert p.root_multiplicity(x0 + 1) == _root_multiplicity_by_division(p, x0 + 1)
 
+    @given(polys, polys.filter(bool), polys, kernel_polys, points, st.integers(0, 2))
+    @settings(deadline=None, max_examples=100)
+    def test_division_matches_fractions(self, a, b, c, big, x0, m):
+        # b carries (q x - p)^m for x0 = p/q; a * b is divisible by b and
+        # a * b + c usually is not; big has wide coefficients
+        lin = UniPoly([-x0.numerator, x0.denominator])
+        b = b * lin**m
+        for p in (a, a * b, a * b + c, c * lin**m, big, big * b):
+            q, r = divmod(p, b)
+            assert (q, r) == _divmod_by_fractions(p, b)
+            assert _outcome(p.exact_div, b) == _outcome(_exact_div_by_fractions, p, b)
+            assert p.gcd(b) == b.gcd(p) == _gcd_by_fractions(p, b)
+            for out in (q, r, p.gcd(b), p.shift(x0), p.derivative(), p.monic(), -p, p + c):
+                _assert_canonical(out)
+            if p:
+                assert p.root_multiplicity(x0) == _root_multiplicity_by_division(p, x0)
+                assert p.exact_div(p) == 1
+
     def test_zero_polynomial(self):
         zero = UniPoly()
+        for divide in (divmod, UniPoly.exact_div, _divmod_by_fractions):
+            with pytest.raises(ZeroDivisionError):
+                divide(UniPoly.x(), zero)
         assert zero.evaluate(Fraction(3, 7)) == 0 and zero.shift(Fraction(-2, 3)) == zero
         with pytest.raises(ValueError) as ours:
             zero.root_multiplicity(1)
