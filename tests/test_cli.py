@@ -62,6 +62,13 @@ GOLDEN_CURVES = {
     "nonsplit-elliptic": "y^2 = x^3 - 2*x + 5",
     "two-torsion": "y^2 = x^3 - x",
 }
+# Every rational branch place of two curves, including x0 = 0 and, on
+# the second, branch places where f'(x0) < 0.
+BRANCH_GOLDEN = {
+    "split-genus2": ("0", "1", "2", "3", "4"),
+    "half-roots": ("-1/2", "0", "1/2"),
+}
+HALF_ROOTS = "y^2 = x^3 - 1/4*x"
 CURVE_GOLDEN = (
     [
         (f"curve_weights_{name}_i{i}.json", ("weights", model, "--i", str(i), "--format", "json"))
@@ -76,6 +83,14 @@ CURVE_GOLDEN = (
     + [
         ("curve_orders_nonsplit-elliptic_i3_place1,2.pretty",
          ("orders", GOLDEN_CURVES["nonsplit-elliptic"], "--i", "3", "--place", "1,2")),
+    ]
+    + [
+        (f"curve_orders_{name}_i{i}_place{x0.replace('/', '_')}.json",
+         ("orders", GOLDEN_CURVES.get(name, HALF_ROOTS), "--i", str(i), f"--place={x0}",
+          "--format", "json"))
+        for name, places in BRANCH_GOLDEN.items()
+        for x0 in places
+        for i in range(5)
     ]
 )
 
