@@ -469,6 +469,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--filter", default=None, help="case name glob")
 
     curve = sub.add_parser("curve", help="compute on an explicit curve")
+    # An argument that starts with "-" and a digit or a point is a value,
+    # such as --place -1/2,3/4, never an option: argparse's own pattern
+    # admits only integers and decimals.  _parse_place checks the value.
+    curve._negative_number_matcher = re.compile(r"^-[\d.]")
     curve.add_argument("curve_cmd", choices=("basis", "orders", "weights", "torsion"))
     curve.add_argument("model", help='curve equation, e.g. "y^2 = x^3 - x"')
     curve.add_argument("--i", type=int, default=0, help="twist index (torsion order minus one for torsion)")

@@ -4,14 +4,16 @@ A model is y^2 = f(x) with f monic, squarefree, of odd degree 2g+1, so
 there is a single place at infinity and it is a branch place.  The
 differentials dx/y, x dx/y, ... give an explicit monomial basis of the
 sections of the (i+1)-fold twist of the canonical bundle at infinity,
-and local expansions in canonical parameters turn vanishing orders into
+and local expansions in local parameters turn vanishing orders into
 exact integer data:
 
-* ordinary place (x0, y0), y0 != 0:   t = x - x0
-* branch place  (x0, 0):              t = y, with x - x0 recovered by
-                                      Newton inversion of y^2 = f(x)
-* infinity:                           x = t^-2, y = t^-(2g+1) s(t) with
-                                      s = sqrt(t^(2(2g+1)) f(t^-2))
+* ordinary place (x0, y0), y0 != 0:   x = x0 + t
+* branch place  (x0, 0):              x = x0 + t^2/c with c = f'(x0)
+* infinity:                           x = t^-2
+
+so x is exact everywhere, and y is one square root of the exact series
+f(x(t)), with the sign of y0 at an ordinary place and leading term t at
+a branch place.
 
 Weights at located places come from order sequences (valuation-staircase
 elimination on expansion coefficients); the weight carried by places the
@@ -70,17 +72,15 @@ DX_OVER_Y = _DxOverY()
 
 
 def start_precision(g: int, i: int) -> int:
-    """Initial expansion precision, d + 3 with d = 2g - 1 + i.
+    """Initial expansion precision, d + 1 with d = 2g - 1 + i.
 
     Every vanishing order of the system is at most its degree d, so the
-    staircase needs each series known through t^d.  At a branch place
-    x - x0 = u(t) starts at t^2 and is known below t^prec in absolute
-    terms, so dx/dt and with it dx/dt * 1/y are known only below
-    t^(prec - 2): two orders short of ordinary places and infinity.
-    The doubling loop in ``order_sequence_at`` keeps any start correct;
-    this one needs no doubling on the models tested.
+    staircase needs each series known through t^d, and every local frame
+    gives its sections known below t^prec.  The doubling loop in
+    ``order_sequence_at`` keeps any start correct; this one never needs
+    a doubling, since each nonzero section has an order at most d.
     """
-    return 2 * g + i + 2
+    return 2 * g + i
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +92,15 @@ class Place:
     kind: str
     x: Fraction | None = None
     y: Fraction | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # computed once: the local-frame cache hashes the place on every
+        # lookup, which would hash its Fraction coordinates again
+        object.__setattr__(self, "_hash", hash((self.kind, self.x, self.y)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def ordinary(cls, x, y) -> "Place":
@@ -290,86 +299,63 @@ def build_basis(model: HyperellipticModel, i: int) -> MonomialBasis:
 # Local expansions
 
 
-def _window_view(s: Series, up_to: int) -> Series:
-    """A polynomial (exact) series reinterpreted as known only below up_to."""
-    n = up_to - s.lead
-    if n <= 0:
-        return Series(up_to, ())
-    nums = list(s.nums[:n])
-    nums += [0] * (n - len(nums))
-    return Series.from_numerators(s.lead, nums, s.den)
+def _on_monomial(p: UniPoly, k: int, c: Fraction) -> Series:
+    """p(c t^k) as an exact Laurent polynomial: x^j goes to c^j t^(kj)."""
+    top = p.degree
+    a, b = c.numerator, c.denominator
+    lo = min(0, k * top)
+    nums = [0] * (abs(k) * top + 1)
+    for j, cj in enumerate(p.nums):
+        nums[k * j - lo] = cj * a**j * b ** (top - j)
+    return Series.from_numerators(lo, nums, p.den * b**top, exact=True)
 
 
 def _solve_branch_parameter(fshift: UniPoly, prec: int) -> Series:
-    """Solve f(x0 + u) = t^2 for u(t) by Newton iteration on polynomial
-    candidates, doubling the trusted window each step."""
-    c1 = fshift[1]
-    cand = Series(2, [Fraction(1) / c1], exact=True)
-    fsd = fshift.derivative()
-    target = Series.monomial(2, 1)
-    m = 4
-    while True:
-        m = min(2 * m, max(prec, 8))
-        window = _window_view(cand, m)
-        err = poly_on_series(fshift, window) - target
-        if err.nums and err.lead < m:
-            dfu = poly_on_series(fsd, window)
-            corr = err * series_invert(dfu, prec=m)
-            improved = window - corr
-            cand = Series.from_numerators(improved.lead, improved.nums, improved.den, exact=True)
-        if m >= prec:
-            break
-    final = _window_view(cand, prec)
-    check = poly_on_series(fshift, final) - target
-    if check.nums and check.lead < prec:
-        raise InternalCheckError("branch-place Newton inversion failed to converge")
-    return final
+    """y at a branch place (x0, 0) in the parameter t with t^2 = c (x - x0),
+    where fshift is f(x0 + s) and c = f'(x0) is nonzero as f is squarefree.
+
+    Writing f(x0 + s) = s h(s), y^2 = f(x0 + t^2/c) = t^2 h(t^2/c)/c, and
+    the unit h(t^2/c)/c is exact with leading coefficient h(0)/c = 1, so
+    y is one square root of an exact series.
+    """
+    return series_sqrt(_on_monomial(fshift, 2, 1 / fshift[1]), prec=prec)
 
 
 @functools.lru_cache(maxsize=256)
 def _local_frame(model: HyperellipticModel, place: Place, prec: int):
-    """Series for (x, y, dx/dt, 1/y) in the canonical parameter at a place.
+    """Series for (x, y, dx/dt, 1/y) in the local parameter at a place.
+
+    x is exact at every place (x0 + t, x0 + t^2/f'(x0) or t^-2) and y is
+    the square root of the exact f(x(t)) to prec coefficients, so every
+    section expanded from the frame is known below t^prec.
 
     The place is checked here, once per cache miss: a place that is not
     on the curve raises before anything is expanded, and is never cached.
     """
     model.check_place(place)
-    g = model.genus
-    f = model.f
-    if place.kind == ORDINARY:
-        x0, y0 = place.x, place.y
-        fs = f.shift(x0)
-        # the unit f(x0 + t) / y0^2, on the stored numerators
-        yn, yd = y0.numerator, y0.denominator
-        nums = [c * yd * yd for c in fs.nums]
-        unit = Series.from_numerators(0, nums, fs.den * yn * yn, exact=True)
-        y = series_sqrt(unit, prec=prec).scale(y0)
-        x = Series(0, [x0, 1], exact=True)
-        dxdt = Series.constant(1)
-    elif place.kind == BRANCH:
-        fs = f.shift(place.x)
-        u = _solve_branch_parameter(fs, prec)
-        x = Series.constant(place.x) + u
-        y = Series.monomial(1, 1)
-        dxdt = u.derivative()
-    else:
-        w = 2 * g + 1
-        rev = [0] * (2 * w + 1)
-        for k, c in enumerate(f.nums):
-            rev[2 * w - 2 * k] = c
-        s = series_sqrt(Series.from_numerators(0, rev, f.den, exact=True), prec=prec)
-        y = s.shift(-w)
+    if place.kind == INFINITY:
         x = Series.monomial(-2, 1)
-        dxdt = Series.monomial(-3, -2)
-    y_inv = series_invert(y, prec=prec)
-    return x, y, dxdt, y_inv
+        y = series_sqrt(_on_monomial(model.f, -2, Fraction(1)), prec=prec)
+    else:
+        fs = model.f.shift(place.x)
+        if place.kind == BRANCH:
+            x = Series(0, [place.x, 0, 1 / fs[1]], exact=True)
+            y = _solve_branch_parameter(fs, prec)
+        else:
+            x = Series(0, [place.x, 1], exact=True)
+            y = series_sqrt(_on_monomial(fs, 1, Fraction(1)), prec=prec)
+            if place.y < 0:
+                y = -y
+    return x, y, x.derivative(), series_invert(y, prec=prec)
 
 
 def expand_at(model: HyperellipticModel, fn, place: Place, precision: int) -> Series:
-    """Laurent expansion in the canonical local parameter of the place.
+    """Laurent expansion in the local parameter of the place.
 
     ``fn`` is a CurveFunction, or the sentinel ``DX_OVER_Y`` for the
-    distinguished differential expanded against dt.
+    distinguished differential expanded against dt.  x is exact at every
+    place, so only y and 1/y limit the known window; each section of a
+    twisted system, fn times dx/y, comes out known below t^precision.
     """
     if precision < 1:
         raise ValueError("precision must be positive")

@@ -924,10 +924,13 @@ def series_sqrt(s: Series, prec: int | None = None) -> Series:
 
 def poly_on_series(p: UniPoly, x: Series) -> Series:
     """Evaluate a polynomial on a series by Horner's rule on its integer
-    numerators, dividing by its denominator once."""
+    numerators, dividing by its denominator once.  Zero coefficients,
+    most of them for a monomial, are skipped rather than added."""
     acc = Series.zero()
     for c in reversed(p.nums):
-        acc = acc * x + c
+        acc = acc * x
+        if c:
+            acc = acc + c
     return acc if p.den == 1 else acc.scale(Fraction(1, p.den))
 
 

@@ -207,6 +207,31 @@ class TestParseCurve:
             with pytest.raises(ConfigError):
                 _parse_place(model, text)
 
+    @pytest.mark.parametrize(
+        "model, place",
+        [
+            (HALF_ROOTS, "-1/2"),
+            (HALF_ROOTS, "-1/2,0"),
+            ("y^2 = x^3 + 11/16", "-1/2,3/4"),
+            ("y^2 = x^3 + 11/16", "-1/2,-3/4"),
+            ("y^2 = x^3 + 11/16", "-1/2,1"),
+        ],
+    )
+    def test_negative_place_as_separate_argument(self, model, place):
+        # argparse would take "-1/2" for an option; both spellings agree
+        separate = run_module("curve", "orders", model, "--i", "1", "--place", place)
+        joined = run_module("curve", "orders", model, "--i", "1", f"--place={place}")
+        assert (separate.returncode, separate.stdout, separate.stderr) == (
+            joined.returncode,
+            joined.stdout,
+            joined.stderr,
+        )
+        assert separate.returncode == (2 if place.endswith(",1") else 0)
+
+    def test_negative_twist_is_still_config_error(self):
+        proc = run_module("curve", "orders", HALF_ROOTS, "--i", "-1", "--place", "-1/2")
+        _assert_one_error_line(proc, "config")
+
 
 class TestRunConfig:
     def test_validation(self):

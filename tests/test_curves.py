@@ -33,7 +33,7 @@ from ramloci.errors import (
     NotSquarefreeError,
     UnsupportedModelError,
 )
-from ramloci.numeric import Series, UniPoly, bareiss_det
+from ramloci.numeric import Series, UniPoly, bareiss_det, poly_on_series
 
 from _reference import cofactor_det
 
@@ -108,13 +108,18 @@ class TestBasis:
 
 class TestExpansion:
     def test_x_at_branch_has_valuation_two(self):
-        s = expand_at(E1, E1.monomial(1, 0), Place.branch(0), 16)
-        assert s.valuation == 2
-        # t^2 = f(x(t)) must hold within the window
-        f_of_x = (s * s * s) - s
-        assert f_of_x.valuation == 2
-        assert f_of_x.coefficient(2) == 1
-        assert f_of_x.coefficient(3) == 0
+        # t^2 = c (x - x0) with c = f'(x0): x - x0 is the exact t^2/c,
+        # and y^2 = f(x(t)) holds through the window of y
+        for model, x0 in ((E1, 0), (E1, 1), (G2, 3)):
+            c = model.f.derivative().evaluate(x0)
+            prec = 16
+            x = expand_at(model, model.monomial(1, 0), Place.branch(x0), prec)
+            y = expand_at(model, model.monomial(0, 1), Place.branch(x0), prec)
+            assert x - x0 == Series.monomial(2, 1 / c)
+            assert y.valuation == 1 and y.coefficient(1) == 1
+            assert y.known_up_to == prec + 1
+            residual = y * y - poly_on_series(model.f, x)
+            assert residual.known_up_to == prec + 2 and not residual.nums
 
     def test_constant_expands_to_one(self):
         for place in (Place.branch(0), Place.infinity()):
@@ -154,14 +159,22 @@ class TestExpansion:
             expand_at(E1, E1.monomial(1, 0), Place.branch(5), 8)
 
     def test_local_frames_match_sympy(self):
-        # (x, y, dx/dt, 1/y) on y^2 = x^3 - 2x + 5 at the ordinary place
-        # (2, 3), where x = 2 + t, and at infinity, where x = t^-2
+        # (x, y, dx/dt, 1/y) on y^2 = x^3 - 2x + 5 at the ordinary places
+        # (2, 3) and (2, -3), where x = 2 + t, at infinity, where x = t^-2,
+        # and on y^2 = x^3 - 2x + 4 at the branch place (-2, 0), where
+        # x = -2 + t^2/f'(-2) = -2 + t^2/10, with t positive throughout
         sympy = pytest.importorskip("sympy")
         t = sympy.Symbol("t", positive=True)
-        model = HyperellipticModel.from_poly(X**3 - 2 * X + 5)
         prec = 8
-        for place, xt in ((Place.ordinary(2, 3), 2 + t), (Place.infinity(), t**-2)):
-            y = sympy.sqrt(sympy.expand(xt**3 - 2 * xt + 5))
+        cases = [
+            (X**3 - 2 * X + 5, Place.ordinary(2, 3), 2 + t, 1),
+            (X**3 - 2 * X + 5, Place.ordinary(2, -3), 2 + t, -1),
+            (X**3 - 2 * X + 5, Place.infinity(), t**-2, 1),
+            (X**3 - 2 * X + 4, Place.branch(-2), -2 + t**2 / 10, 1),
+        ]
+        for f, place, xt, sign in cases:
+            model = HyperellipticModel.from_poly(f)
+            y = sign * sympy.sqrt(sympy.expand(sum(c * xt**k for k, c in enumerate(f.coeffs))))
             expected = (xt, y, sympy.diff(xt, t), 1 / y)
             for ours, sym in zip(_local_frame(model, place, prec), expected):
                 hi = ours.known_up_to if not ours.exact else ours.lead + prec
@@ -255,8 +268,12 @@ class TestPrecision:
             assert seen[0] == 1
             # at infinity the pole orders of the basis are distinct, so the
             # leading terms alone separate the orders; elsewhere one
-            # coefficient cannot tell two or more orders apart
-            if place.kind != "infinity" and len(basis) > 1:
+            # coefficient cannot tell two or more orders apart.  At the
+            # branch place over x0 = 0 of G2, x = t^2/24 is a monomial, so
+            # the sections are monomials times one series, as at infinity.
+            if (model, place) == (G2, Place.branch(0)):
+                assert max(seen) == 1
+            elif place.kind != "infinity" and len(basis) > 1:
                 assert max(seen) > 1
 
     def test_each_place_checked_once_per_frame(self, monkeypatch):
@@ -316,6 +333,23 @@ class TestPrecision:
         monkeypatch.setattr(UniPoly, "__hash__", spy_hash)
         for _ in range(10):
             expand_at(model, DX_OVER_Y, Place.infinity(), 8)
+        assert hashed == []
+
+    def test_place_hash_is_computed_once(self, monkeypatch):
+        # the _local_frame cache hashes the place on every expand_at
+        place = Place.ordinary(Fraction(2), Fraction(3))
+        assert hash(place) == hash(Place.ordinary(2, 3))
+        expand_at(E2, DX_OVER_Y, place, 8)
+        hashed = []
+        real_hash = Fraction.__hash__
+
+        def spy_hash(q):
+            hashed.append(q)
+            return real_hash(q)
+
+        monkeypatch.setattr(Fraction, "__hash__", spy_hash)
+        for _ in range(10):
+            expand_at(E2, DX_OVER_Y, place, 8)
         assert hashed == []
 
     @pytest.mark.parametrize("i", range(0, 9))
@@ -571,11 +605,11 @@ class TestTotalWeight:
         assert report.remainder == report.remainder_branch + report.remainder_ordinary
 
     def test_start_precision_policy(self):
-        # d + 3 for the degree d = 2g - 1 + i of the twisted system
-        assert start_precision(2, 3) == 9
+        # d + 1 for the degree d = 2g - 1 + i of the twisted system
+        assert start_precision(2, 3) == 7
         for g in range(1, 5):
             for i in range(0, 9):
-                assert start_precision(g, i) == 2 * g + i + 2
+                assert start_precision(g, i) == 2 * g + i
 
 
 class TestDivisionPolynomials:
@@ -619,6 +653,22 @@ class TestDivisionPolynomials:
     def test_needs_genus_one(self):
         with pytest.raises(UnsupportedModelError):
             division_polynomial(G2, 2)
+
+    def test_vanishes_on_sympy_torsion_points(self):
+        # y^2 = x^3 + 1 has torsion Z/6: psi_m vanishes at a point of
+        # exact order n >= 3 iff n divides m
+        ell = pytest.importorskip("sympy.ntheory.elliptic_curve")
+        points = [
+            (Fraction(str(p.x)), Fraction(str(p.y)), int(p.order()))
+            for p in ell.EllipticCurve(0, 1).torsion_points()
+        ]
+        points = [(px, py, n) for px, py, n in points if n >= 3]
+        assert sorted(n for _, _, n in points) == [3, 3, 6, 6]
+        for px, py, n in points:
+            for m in range(1, 13):
+                psi = division_polynomial(E2, m)
+                value = psi.a.evaluate(px) + psi.b.evaluate(px) * py
+                assert (value == 0) == (m % n == 0), (px, py, m)
 
 
 class TestTorsionOracle:
