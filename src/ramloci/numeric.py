@@ -20,11 +20,15 @@ than silently returning a truncated value.  Series built from finite
 data (polynomials, monomials) are marked ``exact`` and behave as if the
 window were infinite.
 
-``UniPoly`` and ``Series`` both store integer numerators over one
-positive denominator, with their common content removed.  ``_pack`` is
-the one way in from rationals and ``_primitive`` the one normaliser, so
-the stored form is canonical and ``coeffs`` builds ``Fraction`` objects
-only when asked.  A product is one call of the integer kernel
+``ParamPoly``, ``UniPoly`` and ``Series`` all store integer numerators
+over one positive denominator, with their common content removed: a
+``ParamPoly`` keys its numerators by exponent pair, the other two keep
+a list.  ``_pack`` is the one way in from rationals and ``_primitive``
+the one normaliser, so the stored form is canonical, and ``terms`` and
+``coeffs`` build ``Fraction`` objects only when asked.  The certifier's
+Chow-ring and bundle calculus therefore runs on integers, and
+``ParamPoly.grid_values`` builds one ``Fraction`` per grid point.  A
+``UniPoly`` or ``Series`` product is one call of the integer kernel
 ``_kernels.convolve`` on the stored numerators.  Every polynomial
 division (``exact_div``, ``divmod``, the pseudo-remainders of ``gcd``
 and the division by q x - p in ``root_multiplicity``) is one integer
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import _kernels
 from .errors import (
@@ -80,6 +85,8 @@ def _pack(coeffs):
 def _primitive(nums, den):
     """(nums, den) with the common content of the numerators and den
     removed and den made positive; with den = 0 the primitive part of nums."""
+    if den == 1:
+        return nums, den
     g = math.gcd(den, *nums)
     if den < 0:
         g = -g
@@ -124,61 +131,85 @@ def _homogeneous_value(nums, p: int, q: int) -> int:
 class ParamPoly:
     """Polynomial in the formal parameters (g, i) with rational coefficients.
 
-    Stored sparsely as a map from exponent pairs (e_g, e_i) to nonzero
-    coefficients; two polynomials are equal iff the maps are equal.
+    Stored as sum(nums[(e_g, e_i)] g^e_g i^e_i) / den: a map from
+    exponent pairs to nonzero integer numerators over one positive
+    denominator, with the common content of numerators and denominator
+    removed.  The stored form is canonical, so two polynomials are equal
+    iff their (nums, den) are.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for (eg, ei), c in terms.items():
-                c = Fraction(c)
-                if c:
-                    eg = int(eg)
-                    ei = int(ei)
-                    if eg < 0 or ei < 0:
-                        raise ValueError("exponents must be nonnegative")
-                    clean[(eg, ei)] = clean.get((eg, ei), Fraction(0)) + c
-        object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v})
+        terms = terms or {}
+        keys = [(int(eg), int(ei)) for eg, ei in terms]
+        if any(eg < 0 or ei < 0 for eg, ei in keys):
+            raise ValueError("exponents must be nonnegative")
+        nums, den = _pack(terms.values())
+        self._store(dict(zip(keys, nums)), den)
+
+    def _store(self, nums, den):
+        """The normaliser every constructor and operation goes through:
+        drop zero numerators, remove the content and make den positive."""
+        nums = {k: c for k, c in nums.items() if c}
+        vals = list(nums.values())
+        prim, den = _primitive(vals, den)
+        object.__setattr__(self, "nums", nums if prim is vals else dict(zip(nums, prim)))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("ParamPoly is immutable")
 
     @classmethod
+    def _from_numerators(cls, nums, den: int = 1) -> "ParamPoly":
+        """The polynomial with the integer numerators ``nums``, a map from
+        exponent pairs, over the nonzero integer den."""
+        p = object.__new__(cls)
+        p._store(nums, den)
+        return p
+
+    @classmethod
     def const(cls, c) -> "ParamPoly":
-        return cls({(0, 0): Fraction(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def g(cls) -> "ParamPoly":
-        return cls({(1, 0): Fraction(1)})
+        return cls({(1, 0): 1})
 
     @classmethod
     def i(cls) -> "ParamPoly":
-        return cls({(0, 1): Fraction(1)})
+        return cls({(0, 1): 1})
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only map from exponent pairs to the coefficients as
+        Fractions."""
+        return MappingProxyType({k: Fraction(c, self.den) for k, c in self.nums.items()})
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, ParamPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return ParamPoly.const(other)
+            return ParamPoly._from_numerators({(0, 0): other.numerator}, other.denominator)
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + v
-        return ParamPoly(terms)
+        den = math.lcm(self.den, other.den)
+        scale = den // self.den
+        nums = {k: c * scale for k, c in self.nums.items()}
+        scale = den // other.den
+        for k, c in other.nums.items():
+            nums[k] = nums.get(k, 0) + c * scale
+        return ParamPoly._from_numerators(nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly({k: -v for k, v in self.terms.items()})
+        return ParamPoly._from_numerators({k: -c for k, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -193,12 +224,12 @@ class ParamPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = {}
-        for (ag, ai), av in self.terms.items():
-            for (bg, bi), bv in other.terms.items():
+        nums = {}
+        for (ag, ai), av in self.nums.items():
+            for (bg, bi), bv in other.nums.items():
                 k = (ag + bg, ai + bi)
-                terms[k] = terms.get(k, Fraction(0)) + av * bv
-        return ParamPoly(terms)
+                nums[k] = nums.get(k, 0) + av * bv
+        return ParamPoly._from_numerators(nums, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -218,52 +249,67 @@ class ParamPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant hashes as its value, since it equals that int or Fraction
+        c = self.nums.get((0, 0), 0)
+        if len(self.nums) == (1 if c else 0):
+            return hash(Fraction(c, self.den))
+        return hash((frozenset(self.nums.items()), self.den))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def degrees(self):
         """Per-variable degrees (d_g, d_i); (0, 0) for the zero polynomial."""
-        dg = max((eg for eg, _ in self.terms), default=0)
-        di = max((ei for _, ei in self.terms), default=0)
+        dg = max((eg for eg, _ in self.nums), default=0)
+        di = max((ei for _, ei in self.nums), default=0)
         return dg, di
 
     def __call__(self, g, i) -> Fraction:
         return poly_eval(self, g, i)
 
     def grid_values(self, g_points, i_points) -> list[Fraction]:
-        """Exact values at every (g, i) of the grid, g-major: for integer
-        points, integer numerators over one common denominator."""
-        den = math.lcm(*(c.denominator for c in self.terms.values()))
-        terms = [(eg, ei, int(c * den)) for (eg, ei), c in self.terms.items()]
-        return [
-            Fraction(sum(n * g**eg * i**ei for eg, ei, n in terms), den)
-            for g in g_points
-            for i in i_points
-        ]
+        """Exact values at every (g, i) of the grid, g-major.  Per g,
+        Horner's rule in g on the integer numerators gives the integer
+        coefficients of a polynomial in i, and Horner's rule in i each
+        value, both homogenised so that rational points stay over Z; one
+        Fraction per point."""
+        dg, di = self.degrees()
+        rows = [[0] * (dg + 1) for _ in range(di + 1)]
+        for (eg, ei), c in self.nums.items():
+            rows[ei][eg] = c
+        out = []
+        for g in g_points:
+            col = [_homogeneous_value(row, g.numerator, g.denominator) for row in rows]
+            den = self.den * g.denominator**dg
+            out += [
+                Fraction(_homogeneous_value(col, i.numerator, i.denominator), den * i.denominator**di)
+                for i in i_points
+            ]
+        return out
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
-        for (eg, ei) in sorted(self.terms, key=lambda k: (-(k[0] + k[1]), -k[0])):
-            c = self.terms[(eg, ei)]
+        for (eg, ei) in sorted(self.nums, key=lambda k: (-(k[0] + k[1]), -k[0])):
+            n = self.nums[(eg, ei)]
+            k = math.gcd(n, self.den)
+            c = f"{n // k}" if k == self.den else f"{n // k}/{self.den // k}"
             mono = "*".join(
                 ([f"g^{eg}" if eg > 1 else "g"] if eg else [])
                 + ([f"i^{ei}" if ei > 1 else "i"] if ei else [])
             )
             if not mono:
-                parts.append(str(c))
-            elif c == 1:
+                parts.append(c)
+            elif n == self.den:
                 parts.append(mono)
-            elif c == -1:
+            elif n == -self.den:
                 parts.append("-" + mono)
             else:
                 parts.append(f"{c}*{mono}")

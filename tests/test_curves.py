@@ -678,6 +678,17 @@ class TestTorsionOracle:
         assert torsion_check(model, j)
         assert total_weight(model, j).total == (j + 1) ** 2
 
+    @settings(deadline=None, max_examples=25)
+    @given(a=st.integers(-6, 6), b=st.integers(-6, 6))
+    def test_ramification_is_torsion_on_random_curves(self, a, b):
+        """y^2 = x^3 + a x + b with nonzero discriminant: for j = 1..4
+        the ramification of the j-twisted system is the (j+1)-torsion."""
+        assume(4 * a**3 + 27 * b**2 != 0)
+        model = HyperellipticModel.from_poly(X**3 + a * X + b)
+        for j in range(1, 5):
+            assert torsion_check(model, j), j
+            assert total_weight(model, j).total == (j + 1) ** 2
+
     def test_two_torsion_locus_explicitly(self):
         # j = 1: the x-locus is exactly the roots of f
         assert torsion_check(E1, 1)

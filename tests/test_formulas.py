@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -199,6 +200,24 @@ class TestEngineRecord:
     def test_record_is_read_only(self):
         with pytest.raises(TypeError):
             engine_polys()["SW_degree"] = 0
+
+    def test_engine_does_no_fraction_arithmetic(self, monkeypatch):
+        # the certifier runs on integer numerators; a Fraction operator
+        # that only declines a ParamPoly operand does no arithmetic
+        done = []
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            real = getattr(Fraction, name)
+
+            def spy(a, b, real=real, name=name):
+                out = real(a, b)
+                if out is not NotImplemented:
+                    done.append((name, a, b))
+                return out
+
+            monkeypatch.setattr(Fraction, name, spy)
+        polys = engine_polys.__wrapped__()
+        assert done == []
+        assert polys["D_degree"] == CLOSED_FORMS["D_degree"].expr
 
     @pytest.mark.parametrize("g, i", [(1, 0), (2, 1), (3, 4), (9, 8), (5, 0)])
     def test_power_sums_match_the_filtration_product(self, g, i):

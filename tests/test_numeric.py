@@ -272,6 +272,11 @@ series_values = st.one_of(
     ),
 )
 
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+param_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), small_fractions, max_size=6
+).map(ParamPoly)
+
 
 class TestRational:
     def test_rat_sqrt(self):
@@ -302,6 +307,37 @@ class TestParamPoly:
     def test_degrees(self):
         assert (G**2 * I + I**3).degrees() == (2, 3)
         assert ParamPoly().degrees() == (0, 0)
+
+    def test_constant_hashes_as_its_value(self):
+        three = ParamPoly.const(3)
+        assert three == 3 and hash(three) == hash(3)
+        assert len({three, 3}) == 1
+        assert G * 0 == 0 and len({G * 0, 0}) == 1
+        half = ParamPoly.const(Fraction(1, 2))
+        assert len({half, Fraction(1, 2)}) == 1
+
+    @given(param_polys, param_polys, small_fractions.filter(bool))
+    def test_stored_form_is_canonical(self, p, q, c):
+        """Equal polynomials store equal (nums, den): integer numerators
+        over a positive denominator with no common content."""
+        for a in ((p + q) - q, (p * c) * (1 / c), ParamPoly(p.terms), -(-p)):
+            assert (a.nums, a.den) == (p.nums, p.den)
+            assert hash(a) == hash(p)
+        for r in (p, p * q, p - q, p**2):
+            assert type(r.den) is int and r.den > 0
+            assert all(type(v) is int and v for v in r.nums.values())
+            assert math.gcd(r.den, *r.nums.values()) == 1
+
+    def test_repr(self):
+        assert repr(Fraction(1, 2) * G * I**2 - G + 3) == "1/2*g*i^2 - g + 3"
+        assert repr(-Fraction(2, 3) * I + Fraction(3, 4)) == "-2/3*i + 3/4"
+        assert repr(ParamPoly()) == "0"
+
+    def test_terms_is_a_read_only_view(self):
+        p = Fraction(3, 4) * G**2 * I - 2
+        assert dict(p.terms) == {(2, 1): Fraction(3, 4), (0, 0): Fraction(-2)}
+        with pytest.raises(TypeError):
+            p.terms[(0, 0)] = 1
 
     @given(st.integers(-5, 5), st.integers(-5, 5))
     def test_sum_of_evaluations(self, g, i):
@@ -910,3 +946,41 @@ def test_convolve_matches_reference():
     assert _kernels.convolve([], [], 0) == []
     # leading zeros shift the product
     assert _kernels.convolve([0, 0, 2], [0, 3, 5], 6) == [0, 0, 0, 6, 10, 0]
+
+
+
+def test_param_poly_matches_sympy():
+    """Ring operations, evaluation and repr of random ParamPolys agree
+    with sympy.Poly in (g, i) over QQ."""
+    sympy = pytest.importorskip("sympy")
+    g, i = sympy.symbols("g i")
+
+    def rat(v):
+        return sympy.Rational(v.numerator, v.denominator)
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict({k: rat(c) for k, c in p.terms.items()}, g, i, domain="QQ")
+
+    points = st.lists(
+        st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=5)),
+        min_size=1,
+        max_size=3,
+    )
+
+    @settings(deadline=None, max_examples=60)
+    @given(param_polys, param_polys, st.integers(0, 3), points, points)
+    def check(p, q, e, g_points, i_points):
+        sp, sq = to_sympy(p), to_sympy(q)
+        assert to_sympy(p + q) == sp + sq
+        assert to_sympy(p - q) == sp - sq
+        assert to_sympy(p * q) == sp * sq
+        assert to_sympy(p**e) == sp**e
+        expr = sp.as_expr()
+        want = [expr.subs({g: rat(gv), i: rat(iv)}) for gv in g_points for iv in i_points]
+        got = p.grid_values(g_points, i_points)
+        assert got == [Fraction(int(v.p), int(v.q)) for v in want]
+        assert poly_eval(p, g_points[0], i_points[0]) == got[0]
+        parsed = sympy.parse_expr(repr(p).replace("^", "**"), local_dict={"g": g, "i": i})
+        assert sympy.Poly(parsed, g, i, domain="QQ") == sp
+
+    check()
