@@ -161,7 +161,7 @@ class ParamPoly:
         raise AttributeError("ParamPoly is immutable")
 
     @classmethod
-    def _from_numerators(cls, nums, den: int = 1) -> "ParamPoly":
+    def _from_numerators(cls, nums, den: int) -> "ParamPoly":
         """The polynomial with the integer numerators ``nums``, a map from
         exponent pairs, over the nonzero integer den."""
         p = object.__new__(cls)
