@@ -23,8 +23,8 @@ without any root-finding from the valuations of the affine wronskian,
 whose divisor has degree zero.
 
 The affine wronskian and the division polynomials are computed in Q[x]
-and only the result is wrapped as a ``CurveFunction`` (a + b y)/den, a
-canonical-form value type with no arithmetic of its own.
+and only the result is wrapped as a ``CurveFunction`` num y^k/den with
+k in {0, 1}, a canonical-form value type with no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -154,10 +154,7 @@ class HyperellipticModel:
         return cls(f=f, genus=genus, branch_x=branch, splits=len(branch) == f.degree)
 
     def monomial(self, a: int, b: int) -> "CurveFunction":
-        xa = UniPoly.x() ** a
-        if b == 0:
-            return CurveFunction(self, xa, UniPoly(), UniPoly.const(1))
-        return CurveFunction(self, UniPoly(), xa, UniPoly.const(1))
+        return CurveFunction(self, UniPoly.x() ** a, b, UniPoly.const(1))
 
     def check_place(self, place: Place) -> None:
         if place.kind == INFINITY:
@@ -174,35 +171,38 @@ class HyperellipticModel:
 
 
 # ---------------------------------------------------------------------------
-# Function field elements: (a(x) + b(x) y) / den(x) with y^2 = f
+# Function field elements: num(x) y^k / den(x) with y^2 = f and k in {0, 1}
 
 
 class CurveFunction:
-    """Element of the function field of a model, in canonical form.
+    """Element num(x) y^k / den(x) of the function field of a model.
 
-    Canonical form: gcd(a, b, den) = 1 and den monic, so two elements are
-    equal iff their (a, b, den) are.  This is a value type: the wronskian
-    and the division polynomials are computed in Q[x] and wrapped once.
-    The caller passes a, b and den with no common factor (the wronskian
-    cancels its own, against f); the constructor makes den monic.
+    Every function the engine builds has this shape, with k in {0, 1}:
+    a basis monomial x^a y^b, the affine wronskian and a division
+    polynomial.  Canonical form: gcd(num, den) = 1 and den monic, so two
+    elements are equal iff their (num, k, den) are.  This is a value
+    type: the wronskian and the division polynomials are computed in
+    Q[x] and wrapped once.  The caller passes num and den with no common
+    factor (the wronskian cancels its own, against f); the constructor
+    makes den monic.
     """
 
-    __slots__ = ("model", "a", "b", "den")
+    __slots__ = ("model", "num", "k", "den")
 
-    def __init__(self, model, a: UniPoly, b: UniPoly, den: UniPoly):
+    def __init__(self, model, num: UniPoly, k: int, den: UniPoly):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         scale = 1 / den.lead
         object.__setattr__(self, "model", model)
-        object.__setattr__(self, "a", a * scale if scale != 1 else a)
-        object.__setattr__(self, "b", b * scale if scale != 1 else b)
+        object.__setattr__(self, "num", num * scale if scale != 1 else num)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "den", den.monic())
 
     def __setattr__(self, *args):
         raise AttributeError("CurveFunction is immutable")
 
     def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
+        return self.num.is_zero()
 
     def __bool__(self):
         return not self.is_zero()
@@ -210,27 +210,18 @@ class CurveFunction:
     def __eq__(self, other):
         if not isinstance(other, CurveFunction):
             return NotImplemented
-        return (self.model, self.a, self.b, self.den) == (
+        return (self.model, self.num, self.k, self.den) == (
             other.model,
-            other.a,
-            other.b,
+            other.num,
+            other.k,
             other.den,
         )
 
     def __hash__(self):
-        return hash((self.a, self.b, self.den))
-
-    def norm_numerator(self) -> UniPoly:
-        """The polynomial a^2 - b^2 f (norm of the numerator a + b y)."""
-        return self.a * self.a - self.b * self.b * self.model.f
+        return hash((self.num, self.k, self.den))
 
     def __repr__(self):
-        num = []
-        if self.b:
-            num.append(f"({self.b})*y")
-        if self.a or not num:
-            num.insert(0, f"{self.a}")
-        body = " + ".join(num)
+        body = f"({self.num})*y" if self.k else f"{self.num}"
         if self.den == UniPoly.const(1):
             return body
         return f"({body})/({self.den})"
@@ -366,9 +357,9 @@ def expand_at(model: HyperellipticModel, fn, place: Place, precision: int) -> Se
         raise TypeError(f"cannot expand {fn!r}")
     if fn.is_zero():
         return Series.zero()
-    num = poly_on_series(fn.a, x)
-    if fn.b:
-        num = num + poly_on_series(fn.b, x) * y
+    num = poly_on_series(fn.num, x)
+    if fn.k:
+        num = num * y
     if fn.den.degree == 0:
         return num
     den = poly_on_series(fn.den, x)
@@ -430,7 +421,6 @@ def order_sequence_at(
     model: HyperellipticModel,
     basis: MonomialBasis,
     place: Place,
-    precision_cap: int = PRECISION_CAP,
 ) -> OrderSequence:
     """Vanishing orders of the twisted canonical system at the place.
 
@@ -457,10 +447,10 @@ def order_sequence_at(
             break
         except InconclusiveError:
             prec *= 2
-            if prec > precision_cap:
+            if prec > PRECISION_CAP:
                 raise InconclusiveError(
                     f"order sequence at {place} inconclusive at the "
-                    f"precision cap {precision_cap}"
+                    f"precision cap {PRECISION_CAP}"
                 ) from None
     if len(orders) != g + i or orders[0] < 0 or orders[-1] > 2 * g - 1 + i:
         raise InternalCheckError(
@@ -504,7 +494,7 @@ def affine_wronskian(model: HyperellipticModel, basis: MonomialBasis) -> CurveFu
     irreducible factor of f^e divides f exactly once, so the common
     factor is removed by at most e rounds of dividing num by gcd(num, f);
     once gcd(num, f) = 1 no factor of the denominator divides num, and
-    (a, b, den) is in canonical form without a gcd against f^e.
+    (num, k, den) is in canonical form without a gcd against f^e.
     """
     n = len(basis)
     f = model.f
@@ -541,37 +531,24 @@ def affine_wronskian(model: HyperellipticModel, basis: MonomialBasis) -> CurveFu
         e -= 1
     den = den * f**e
     num = num * Fraction(sign * math.prod(map(math.factorial, range(x_count))), 2**power)
-    if k % 2:
-        return CurveFunction(model, UniPoly(), num, den)
-    return CurveFunction(model, num, UniPoly(), den)
+    return CurveFunction(model, num, k % 2, den)
 
 
 def ord_at_infinity(model: HyperellipticModel, fn: CurveFunction) -> int:
     """Valuation at the place at infinity, from pole orders 2 and 2g+1 of
-    x and y.  The parts a and b*y always have valuations of opposite
-    parity, so no cancellation can occur."""
+    x and y."""
     if fn.is_zero():
         raise ValueError("the zero function has no valuation")
-    w = 2 * model.genus + 1
-    vals = []
-    if fn.a:
-        vals.append(-2 * fn.a.degree)
-    if fn.b:
-        vals.append(-(2 * fn.b.degree + w))
-    return min(vals) + 2 * fn.den.degree
+    return 2 * (fn.den.degree - fn.num.degree) - fn.k * (2 * model.genus + 1)
 
 
 def ord_at_branch(model: HyperellipticModel, fn: CurveFunction, x0) -> int:
-    """Valuation at the branch place over a rational root x0 of f."""
+    """Valuation at the branch place over a rational root x0 of f, where
+    x - x0 has valuation 2 and y valuation 1."""
     if fn.is_zero():
         raise ValueError("the zero function has no valuation")
     x0 = Fraction(x0)
-    vals = []
-    if fn.a:
-        vals.append(2 * fn.a.root_multiplicity(x0))
-    if fn.b:
-        vals.append(2 * fn.b.root_multiplicity(x0) + 1)
-    return min(vals) - 2 * fn.den.root_multiplicity(x0)
+    return 2 * (fn.num.root_multiplicity(x0) - fn.den.root_multiplicity(x0)) + fn.k
 
 
 def _multiplicity_sum_on_branch(p: UniPoly, f: UniPoly) -> int:
@@ -589,19 +566,10 @@ def branch_ord_total(model: HyperellipticModel, fn: CurveFunction) -> int:
     if fn.is_zero():
         raise ValueError("the zero function has no valuation")
     f = model.f
-    a, b, den = fn.a, fn.b, fn.den
-    if a.is_zero():
-        num = 2 * _multiplicity_sum_on_branch(b, f) + f.degree
-    elif b.is_zero():
-        num = 2 * _multiplicity_sum_on_branch(a, f)
-    else:
-        shared = a.gcd(b)
-        num = 2 * _multiplicity_sum_on_branch(shared, f) if shared.degree > 0 else 0
-        a_rest = a.exact_div(shared) if shared.degree > 0 else a
-        num += a_rest.gcd(f).degree
-    if den.degree > 0:
-        num -= 2 * _multiplicity_sum_on_branch(den, f)
-    return num
+    total = 2 * _multiplicity_sum_on_branch(fn.num, f) + fn.k * f.degree
+    if fn.den.degree > 0:
+        total -= 2 * _multiplicity_sum_on_branch(fn.den, f)
+    return total
 
 
 @dataclass(frozen=True)
@@ -726,8 +694,7 @@ def division_polynomial(model: HyperellipticModel, n: int) -> CurveFunction:
     else:
 
         def p(k: int) -> UniPoly:
-            psi = division_polynomial(model, k)
-            return psi.a if k % 2 else psi.b
+            return division_polynomial(model, k).num
 
         m, odd = divmod(n, 2)
         if odd:
@@ -736,9 +703,7 @@ def division_polynomial(model: HyperellipticModel, n: int) -> CurveFunction:
             pn = first - f * f * second if m % 2 else f * f * first - second
         else:
             pn = p(m) * (p(m + 2) * p(m - 1) ** 2 - p(m - 2) * p(m + 1) ** 2) / 2
-    if n % 2:
-        return CurveFunction(model, pn, UniPoly(), UniPoly.const(1))
-    return CurveFunction(model, UniPoly(), pn, UniPoly.const(1))
+    return CurveFunction(model, pn, 1 - n % 2, UniPoly.const(1))
 
 
 def _strip_branch_factors(p: UniPoly, f: UniPoly) -> UniPoly:
@@ -757,7 +722,7 @@ def torsion_check(model: HyperellipticModel, j: int) -> bool:
 
     Both sides are compared as monic squarefree polynomials in x.  The
     ordinary part of the ramification locus is the squarefree part of
-    the wronskian norm with branch-supported factors removed; branch
+    the wronskian numerator with branch-supported factors removed; branch
     places (the 2-torsion) are ramified iff their common weight is
     positive, which the wronskian valuation bookkeeping decides without
     root-finding.
@@ -771,7 +736,7 @@ def torsion_check(model: HyperellipticModel, j: int) -> bool:
     basis = build_basis(model, j)
     wron = affine_wronskian(model, basis)
 
-    ordinary = _strip_branch_factors(wron.norm_numerator(), f).squarefree_part()
+    ordinary = _strip_branch_factors(wron.num, f).squarefree_part()
 
     r = j
     shift = r * (r + 1) // 2
@@ -781,5 +746,7 @@ def torsion_check(model: HyperellipticModel, j: int) -> bool:
         raise InternalCheckError("branch weights of a genus-1 system must agree")
     ram = ordinary if branch_weight_all == 0 else ordinary * f.squarefree_part()
 
-    torsion = division_polynomial(model, n).norm_numerator().squarefree_part()
+    # psi_n = p y^k: p f^k has the squarefree part of the norm p^2 (-f)^k
+    psi = division_polynomial(model, n)
+    torsion = (psi.num * f if psi.k else psi.num).squarefree_part()
     return ram.monic() == torsion.monic()

@@ -197,15 +197,17 @@ def certify(
             form.expr.grid_values(g_points, i_points),
         )
     )
+    # equal polynomials agree at every point: only a failure has rows
+    verdict = engine_fn == form.expr
     return CertificationReport(
         name=name,
-        verdict=engine_fn == form.expr,
+        verdict=verdict,
         method="grid",
         anchor=form.anchor,
         degree_bound=form.degree_bound,
         grid_size=(len(g_points), len(i_points)),
         grid=grid,
-        failures=tuple(row for row in grid if row[2] != row[3]),
+        failures=() if verdict else tuple(row for row in grid if row[2] != row[3]),
     )
 
 

@@ -225,15 +225,14 @@ def test_c8_property_suites():
         model = parse_curve("y^2 = x^3 - x")
         import ramloci.curves as curves_mod
 
-        original = curves_mod.staircase_valuations
+        original = curves_mod.staircase_valuations, curves_mod.PRECISION_CAP
         try:
             curves_mod.staircase_valuations = lambda _: (_ for _ in ()).throw(
                 InconclusiveError("forced")
             )
+            curves_mod.PRECISION_CAP = 64
             with pytest.raises(InconclusiveError, match="precision cap"):
-                order_sequence_at(
-                    model, build_basis(model, 1), Place.infinity(), precision_cap=64
-                )
+                order_sequence_at(model, build_basis(model, 1), Place.infinity())
         finally:
-            curves_mod.staircase_valuations = original
+            curves_mod.staircase_valuations, curves_mod.PRECISION_CAP = original
     _report("C8", "property suites and error paths", t)

@@ -11,6 +11,7 @@ from ramloci.curves import (
     HyperellipticModel,
     Place,
     _local_frame,
+    _strip_branch_factors,
     affine_wronskian,
     branch_ord_total,
     build_basis,
@@ -384,8 +385,9 @@ class TestStaircase:
             raise InconclusiveError("forced")
 
         monkeypatch.setattr(curves_mod, "staircase_valuations", always_inconclusive)
+        monkeypatch.setattr(curves_mod, "PRECISION_CAP", 64)
         with pytest.raises(InconclusiveError, match="precision cap"):
-            order_sequence_at(E1, build_basis(E1, 1), Place.infinity(), precision_cap=64)
+            order_sequence_at(E1, build_basis(E1, 1), Place.infinity())
 
 
 def _full_matrix_wronskian(model, basis):
@@ -409,9 +411,7 @@ def _full_matrix_wronskian(model, basis):
     common = num.gcd(den)
     num, den = num / common, den / common
     num = num * (1 / den.lead)
-    if y_columns % 2:
-        return UniPoly(), num, den.monic()
-    return num, UniPoly(), den.monic()
+    return num, y_columns % 2, den.monic()
 
 
 REFERENCE_CASES = [
@@ -429,7 +429,7 @@ class TestWronskian:
         # covers bases with two to four y-columns (i >= 4), which the
         # series and sympy oracles do not reach
         w = affine_wronskian(model, build_basis(model, i))
-        assert (w.a, w.b, w.den) == _full_matrix_wronskian(model, build_basis(model, i))
+        assert (w.num, w.k, w.den) == _full_matrix_wronskian(model, build_basis(model, i))
 
     def test_two_dim_basis_gives_one(self):
         w = affine_wronskian(E1, build_basis(E1, 1))
@@ -444,7 +444,7 @@ class TestWronskian:
         w = affine_wronskian(E2, build_basis(E2, 2))
         f = E2.f
         fp, fpp = f.derivative(), f.derivative().derivative()
-        y2 = CurveFunction(E2, UniPoly(), 2 * f * fpp - fp * fp, 4 * f * f)
+        y2 = CurveFunction(E2, 2 * f * fpp - fp * fp, 1, 4 * f * f)
         assert w == y2
         # verify against the local expansion at an ordinary place: t = x - x0
         place = Place.ordinary(2, 3)
@@ -455,13 +455,19 @@ class TestWronskian:
             assert direct.coefficient(e) == via_series.coefficient(e)
 
     def test_valuation_bookkeeping_matches_series(self):
+        # the wronskian, and psi_1..psi_8: y^k with k = 1 for even n
         w = affine_wronskian(E1, build_basis(E1, 2))
-        for x0 in E1.branch_x:
-            by_series = expand_at(E1, w, Place.branch(x0), 40).valuation
-            assert by_series == ord_at_branch(E1, w, x0)
-        # infinity
-        s = expand_at(E1, w, Place.infinity(), 40)
-        assert s.valuation == ord_at_infinity(E1, w)
+        psis = [division_polynomial(E1, n) for n in range(1, 9)]
+        for fn in [w, *psis]:
+            for x0 in E1.branch_x:
+                by_series = expand_at(E1, fn, Place.branch(x0), 40).valuation
+                assert by_series == ord_at_branch(E1, fn, x0)
+            # infinity
+            s = expand_at(E1, fn, Place.infinity(), 40)
+            assert s.valuation == ord_at_infinity(E1, fn)
+        # psi_n has a pole of order n^2 - 1 at the origin of the group law
+        for n, psi in enumerate(psis, start=1):
+            assert ord_at_infinity(E1, psi) == -(n * n - 1)
 
     @pytest.mark.parametrize(
         "f, x0, y0",
@@ -501,7 +507,7 @@ class TestWronskian:
             basis = build_basis(model, i)
             funcs = [x**a * sqrt_f**b for a, b in basis.exponents]
             w = affine_wronskian(model, basis)
-            ours = (expr(w.a) + expr(w.b) * sqrt_f) / expr(w.den)
+            ours = expr(w.num) * sqrt_f**w.k / expr(w.den)
             assert sympy.simplify(sympy.wronskian(funcs, x) - ours) == 0
 
     def test_branch_ord_total_matches_rational_roots_when_split(self):
@@ -509,6 +515,25 @@ class TestWronskian:
             w = affine_wronskian(E1, build_basis(E1, i))
             per_root = sum(ord_at_branch(E1, w, x0) for x0 in E1.branch_x)
             assert branch_ord_total(E1, w) == per_root
+        # psi_n = p y for even n, with p prime to f: a simple zero at each
+        # of the three 2-torsion points; psi_n avoids them for odd n
+        for n in range(1, 9):
+            psi = division_polynomial(E1, n)
+            per_root = sum(ord_at_branch(E1, psi, x0) for x0 in E1.branch_x)
+            assert branch_ord_total(E1, psi) == per_root == (3 if n % 2 == 0 else 0)
+
+    @pytest.mark.parametrize("model", [E1, E2], ids=["x^3-x", "x^3+1"])
+    def test_ordinary_locus_matches_norm(self, model):
+        # off the branch places a zero of num y^k / den is a zero of the
+        # norm num^2 (-f)^k, so both give the same squarefree locus
+        f = model.f
+        for j in range(1, 7):
+            wron = affine_wronskian(model, build_basis(model, j))
+            norm = wron.num * wron.num * (-f) ** wron.k
+            while (shared := norm.gcd(f)).degree > 0:
+                norm = norm.exact_div(shared)
+            ordinary = _strip_branch_factors(wron.num, f).squarefree_part()
+            assert ordinary.monic() == norm.squarefree_part().monic(), j
 
 
 class TestTotalWeight:
@@ -616,11 +641,11 @@ class TestDivisionPolynomials:
     def test_bases(self):
         assert division_polynomial(E1, 1) == E1.monomial(0, 0)
         psi2 = division_polynomial(E1, 2)
-        assert psi2.a == 0
-        assert psi2.b == 2
+        assert psi2.k == 1
+        assert psi2.num == 2
         psi3 = division_polynomial(E1, 3)
-        assert psi3.b.is_zero()
-        assert psi3.a == 3 * X**4 - 6 * X**2 - 1
+        assert psi3.k == 0
+        assert psi3.num == 3 * X**4 - 6 * X**2 - 1
 
     def test_psi4_matches_short_weierstrass_formula(self):
         # y^2 = x^3 + a x + b: psi4 = 4y(x^6 + 5a x^4 + 20b x^3 - 5a^2 x^2 - 4ab x - 8b^2 - a^3)
@@ -634,21 +659,21 @@ class TestDivisionPolynomials:
                 - 4 * a * b * X
                 - (8 * b**2 + a**3)
             )
-            assert psi4.a.is_zero()
-            assert psi4.b == expected
+            assert psi4.k == 1
+            assert psi4.num == expected
 
     def test_psi5_vanishes_exactly_on_five_torsion(self):
         psi5 = division_polynomial(E1, 5)
-        assert psi5.b.is_zero()
-        assert psi5.a.degree == 12  # (25 - 1) / 2
-        assert psi5.a.gcd(E1.f).degree == 0  # 5-torsion avoids 2-torsion
+        assert psi5.k == 0
+        assert psi5.num.degree == 12  # (25 - 1) / 2
+        assert psi5.num.gcd(E1.f).degree == 0  # 5-torsion avoids 2-torsion
 
     @pytest.mark.parametrize("model", [E1, E2], ids=["x^3-x", "x^3+1"])
     def test_norm_degree(self, model):
-        # psi_n^2 has degree n^2 - 1 in x for odd and even n alike
+        # psi_n^2 = p^2 f^k has degree n^2 - 1 in x for odd and even n alike
         for n in range(1, 13):
             psi = division_polynomial(model, n)
-            assert psi.norm_numerator().degree == n * n - 1
+            assert 2 * psi.num.degree + 3 * psi.k == n * n - 1
 
     def test_needs_genus_one(self):
         with pytest.raises(UnsupportedModelError):
@@ -667,7 +692,7 @@ class TestDivisionPolynomials:
         for px, py, n in points:
             for m in range(1, 13):
                 psi = division_polynomial(E2, m)
-                value = psi.a.evaluate(px) + psi.b.evaluate(px) * py
+                value = psi.num.evaluate(px) * py**psi.k
                 assert (value == 0) == (m % n == 0), (px, py, m)
 
 
