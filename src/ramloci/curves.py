@@ -13,7 +13,8 @@ exact integer data:
 
 so x is exact everywhere, and y is one square root of the exact series
 f(x(t)), with the sign of y0 at an ordinary place and leading term t at
-a branch place.
+a branch place.  The sections x^a y^b dx/y then come from two ladders,
+dx/y and y dx/y each multiplied by x once per rung.
 
 Weights at located places come from order sequences (valuation-staircase
 elimination on expansion coefficients); the weight carried by places the
@@ -253,10 +254,6 @@ class MonomialBasis:
         w = 2 * self.model.genus + 1
         return tuple(2 * a + w * b for a, b in self.exponents)
 
-    @property
-    def functions(self) -> tuple[CurveFunction, ...]:
-        return tuple(self.model.monomial(a, b) for a, b in self.exponents)
-
     def monomial_names(self) -> tuple[str, ...]:
         names = []
         for a, b in self.exponents:
@@ -424,6 +421,10 @@ def order_sequence_at(
 ) -> OrderSequence:
     """Vanishing orders of the twisted canonical system at the place.
 
+    The sections x^a y^b dx/y, in the pole order of the basis, are two
+    ladders over the local frame from dx/y and y dx/y (twisted by t^(i+1)
+    at infinity), each rung the one below times the exact x.
+
     Expansions start at ``start_precision(g, i)``, which only decides
     how much work is done.  Correctness comes from the doubling loop:
     every reported order is the valuation of a nonzero coefficient known
@@ -436,13 +437,12 @@ def order_sequence_at(
     prec = start_precision(g, i)
     while True:
         try:
-            dxy = expand_at(model, DX_OVER_Y, place, prec)
-            sers = []
-            for fn in basis.functions:
-                s = expand_at(model, fn, place, prec) * dxy
-                if twist:
-                    s = s.shift(twist)
-                sers.append(s)
+            dxy = expand_at(model, DX_OVER_Y, place, prec).shift(twist)
+            x, y = _local_frame(model, place, prec)[:2]
+            rung, sers = {}, []  # rung[b]: the last x^a y^b dx/y, a = 0, 1, ...
+            for a, b in basis.exponents:
+                rung[b] = x * rung[b] if a else (y * dxy if b else dxy)
+                sers.append(rung[b])
             orders = staircase_valuations(sers)
             break
         except InconclusiveError:
@@ -744,7 +744,7 @@ def torsion_check(model: HyperellipticModel, j: int) -> bool:
     # each branch place is a 2-torsion point, so the three weights agree
     if branch_weight_all % 3:
         raise InternalCheckError("branch weights of a genus-1 system must agree")
-    ram = ordinary if branch_weight_all == 0 else ordinary * f.squarefree_part()
+    ram = ordinary if branch_weight_all == 0 else ordinary * f
 
     # psi_n = p y^k: p f^k has the squarefree part of the norm p^2 (-f)^k
     psi = division_polynomial(model, n)

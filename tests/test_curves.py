@@ -36,7 +36,7 @@ from ramloci.errors import (
 )
 from ramloci.numeric import Series, UniPoly, bareiss_det, poly_on_series
 
-from _reference import cofactor_det
+from _reference import cofactor_det, monomial_sections, order_sequence_by_monomials
 
 X = UniPoly.x()
 
@@ -279,7 +279,8 @@ class TestPrecision:
 
     def test_each_place_checked_once_per_frame(self, monkeypatch):
         # from a tiny start every place doubles through several precisions
-        # and expands many functions at each one; only a new frame checks
+        # and looks its frame up several times at each one; only a new
+        # frame checks
         import collections
 
         import ramloci.curves as curves_mod
@@ -292,21 +293,20 @@ class TestPrecision:
             return real_check(model, place)
 
         monkeypatch.setattr(HyperellipticModel, "check_place", spy_check)
-        expansions = []
-        real_expand = curves_mod.expand_at
+        lookups = []
 
-        def spy_expand(model, fn, place, precision):
-            expansions.append((model, place, precision))
-            return real_expand(model, fn, place, precision)
+        def spy_frame(model, place, prec):
+            lookups.append((model, place, prec))
+            return _local_frame(model, place, prec)
 
-        monkeypatch.setattr(curves_mod, "expand_at", spy_expand)
+        monkeypatch.setattr(curves_mod, "_local_frame", spy_frame)
         monkeypatch.setattr(curves_mod, "start_precision", lambda g, i: 1)
         _local_frame.cache_clear()
         for i in (0, 2):
             for model, place in PRECISION_PLACES:
                 order_sequence_at(model, build_basis(model, i), place)
-        frames = set(expansions)
-        assert len(expansions) > 3 * len(frames)
+        frames = set(lookups)
+        assert len(lookups) > 3 * len(frames)
         assert collections.Counter(checked) == collections.Counter((m, p) for m, p, _ in frames)
         # a place off the curve raises on every call and is never cached
         bad = Place.ordinary(2, 5)
@@ -360,6 +360,85 @@ class TestPrecision:
             seen.clear()
             order_sequence_at(model, build_basis(model, i), place)
             assert set(seen) == {start_precision(model.genus, i)}
+
+
+class TestSectionLadder:
+    """order_sequence_at builds the sections x^a y^b dx/y as x-ladders
+    over the local frame; the reference expands each monomial by Horner's
+    rule and multiplies by dx/y."""
+
+    @pytest.mark.parametrize("i", range(0, 5))
+    def test_rungs_match_monomial_expansions(self, monkeypatch, i):
+        import ramloci.curves as curves_mod
+
+        seen = []
+        real = curves_mod.staircase_valuations
+
+        def spy(series_list):
+            seen.append(list(series_list))
+            return real(series_list)
+
+        monkeypatch.setattr(curves_mod, "staircase_valuations", spy)
+        for model, place in PRECISION_PLACES:
+            basis = build_basis(model, i)
+            prec = start_precision(model.genus, i)
+            seen.clear()
+            order_sequence_at(model, basis, place)
+            [rungs] = seen
+            reference = monomial_sections(model, basis, place, prec)
+            assert len(rungs) == len(reference) == len(basis)
+            for rung, ref in zip(rungs, reference):
+                top = min(rung.known_up_to, ref.known_up_to)
+                assert top >= prec
+                for e in range(min(rung.lead, ref.lead), top):
+                    assert rung.coefficient(e) == ref.coefficient(e)
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        degree=st.sampled_from([3, 5]),
+        roots=st.lists(
+            st.fractions(-4, 4, max_denominator=3), min_size=0, max_size=5, unique=True
+        ),
+        coeffs=st.lists(st.integers(-9, 9), min_size=5, max_size=5),
+        i=st.integers(0, 4),
+    )
+    def test_orders_match_monomial_expansions(self, degree, roots, coeffs, i):
+        """Random monic squarefree f with some rational roots: at every
+        rational branch place and at infinity the ladder gives the orders
+        of the per-monomial expansions."""
+        roots = roots[:degree]
+        f = UniPoly(coeffs[: degree - len(roots)] + [1])
+        for r in roots:
+            f = f * (X - r)
+        try:
+            model = HyperellipticModel.from_poly(f)
+        except NotSquarefreeError:
+            assume(False)
+        basis = build_basis(model, i)
+        places = [Place.branch(x0) for x0 in model.branch_x] + [Place.infinity()]
+        for place in places:
+            orders = order_sequence_at(model, basis, place).orders
+            assert orders == order_sequence_by_monomials(model, basis, place), place
+
+    def test_builds_no_curve_function(self, monkeypatch):
+        # a regression guard: the sections are series products only
+        expected = {
+            (model, place, i): order_sequence_at(model, build_basis(model, i), place)
+            for model, place in [
+                (G2, Place.branch(1)),
+                (E2, Place.ordinary(2, 3)),
+                (G3, Place.infinity()),
+            ]
+            for i in range(0, 5)
+        }
+
+        def refuse(self, *args):
+            raise AssertionError("order_sequence_at built a CurveFunction")
+
+        monkeypatch.setattr(CurveFunction, "__init__", refuse)
+        _local_frame.cache_clear()
+        for (model, place, i), seq in expected.items():
+            assert order_sequence_at(model, build_basis(model, i), place) == seq
 
 
 class TestStaircase:
@@ -481,7 +560,8 @@ class TestWronskian:
         place = Place.ordinary(x0, y0)
         basis = build_basis(model, i)
         n = len(basis)
-        rows = [[expand_at(model, fn, place, 12 + n) for fn in basis.functions]]
+        fns = [model.monomial(a, b) for a, b in basis.exponents]
+        rows = [[expand_at(model, fn, place, 12 + n) for fn in fns]]
         for _ in range(n - 1):
             rows.append([s.derivative() for s in rows[-1]])
         via_series = cofactor_det(rows)
