@@ -69,6 +69,11 @@ BRANCH_GOLDEN = {
     "half-roots": ("-1/2", "0", "1/2"),
 }
 HALF_ROOTS = "y^2 = x^3 - 1/4*x"
+# Ordinary places of y^2 = x^3 + 1 with both signs of y0: (0, +-1) is
+# 3-torsion (weight 1 at i = 2) and (2, +-3) is 6-torsion (weight 1 at
+# i = 5); plus its place at infinity.
+CUBIC_PLUS_ONE = "y^2 = x^3 + 1"
+CUBIC_PLUS_ONE_PLACES = ("0,1", "0,-1", "2,3", "2,-3", "inf")
 CURVE_GOLDEN = (
     [
         (f"curve_weights_{name}_i{i}.json", ("weights", model, "--i", str(i), "--format", "json"))
@@ -91,6 +96,12 @@ CURVE_GOLDEN = (
         for name, places in BRANCH_GOLDEN.items()
         for x0 in places
         for i in range(5)
+    ]
+    + [
+        (f"curve_orders_cubic-plus-one_i{i}_place{place}.json",
+         ("orders", CUBIC_PLUS_ONE, "--i", str(i), f"--place={place}", "--format", "json"))
+        for place in CUBIC_PLUS_ONE_PLACES
+        for i in range(6)
     ]
 )
 
