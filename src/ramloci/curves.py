@@ -11,10 +11,12 @@ exact integer data:
 * branch place  (x0, 0):              x = x0 + t^2/c with c = f'(x0)
 * infinity:                           x = t^-2
 
-so x is exact everywhere, and y is one square root of the exact series
-f(x(t)), with the sign of y0 at an ordinary place and leading term t at
-a branch place.  The sections x^a y^b dx/y then come from two ladders,
-dx/y and y dx/y each multiplied by x once per rung.
+so x and dx/dt are exact everywhere, and y is one square root of the
+exact series f(x(t)), with the sign of y0 at an ordinary place and
+leading term t at a branch place.  Order sequences expand y times the
+sections, x^a y^b dx/dt, as two ladders from dx/dt and y dx/dt, each
+multiplied by x once per rung: the b = 0 ladder is exact, and every
+order moves by the same v(y).
 
 Weights at located places come from order sequences (valuation-staircase
 elimination on expansion coefficients); the weight carried by places the
@@ -76,8 +78,8 @@ def start_precision(g: int, i: int) -> int:
     """Initial expansion precision, d + 1 with d = 2g - 1 + i.
 
     Every vanishing order of the system is at most its degree d, so the
-    staircase needs each series known through t^d, and every local frame
-    gives its sections known below t^prec.  The doubling loop in
+    staircase needs each series known through t^d, and y times each
+    section, moved back by v(y), is known below t^prec.  The loop in
     ``order_sequence_at`` keeps any start correct; this one never needs
     a doubling, since each nonzero section has an order at most d.
     """
@@ -310,12 +312,9 @@ def _solve_branch_parameter(fshift: UniPoly, prec: int) -> Series:
 
 
 @functools.lru_cache(maxsize=256)
-def _local_frame(model: HyperellipticModel, place: Place, prec: int):
-    """Series for (x, y, dx/dt, 1/y) in the local parameter at a place.
-
-    x is exact at every place (x0 + t, x0 + t^2/f'(x0) or t^-2) and y is
-    the square root of the exact f(x(t)) to prec coefficients, so every
-    section expanded from the frame is known below t^prec.
+def _exact_frame(model: HyperellipticModel, place: Place):
+    """Exact series for (x, dx/dt) in the local parameter at a place:
+    x0 + t, x0 + t^2/f'(x0) or t^-2, none of which needs y.
 
     The place is checked here, once per cache miss: a place that is not
     on the curve raises before anything is expanded, and is never cached.
@@ -323,18 +322,30 @@ def _local_frame(model: HyperellipticModel, place: Place, prec: int):
     model.check_place(place)
     if place.kind == INFINITY:
         x = Series.monomial(-2, 1)
+    elif place.kind == BRANCH:
+        x = Series(0, [place.x, 0, 1 / model.f.derivative().evaluate(place.x)], exact=True)
+    else:
+        x = Series(0, [place.x, 1], exact=True)
+    return x, x.derivative()
+
+
+@functools.lru_cache(maxsize=256)
+def _local_frame(model: HyperellipticModel, place: Place, prec: int):
+    """y at a place, the inexact part of the local frame: the square root
+    of the exact f(x(t)) to prec coefficients, with the sign of y0 at an
+    ordinary place and leading term t at a branch place."""
+    _exact_frame(model, place)  # checks the place before any expansion
+    if place.kind == INFINITY:
         y = series_sqrt(_on_monomial(model.f, -2, Fraction(1)), prec=prec)
     else:
         fs = model.f.shift(place.x)
         if place.kind == BRANCH:
-            x = Series(0, [place.x, 0, 1 / fs[1]], exact=True)
             y = _solve_branch_parameter(fs, prec)
         else:
-            x = Series(0, [place.x, 1], exact=True)
             y = series_sqrt(_on_monomial(fs, 1, Fraction(1)), prec=prec)
             if place.y < 0:
                 y = -y
-    return x, y, x.derivative(), series_invert(y, prec=prec)
+    return y
 
 
 def expand_at(model: HyperellipticModel, fn, place: Place, precision: int) -> Series:
@@ -347,16 +358,16 @@ def expand_at(model: HyperellipticModel, fn, place: Place, precision: int) -> Se
     """
     if precision < 1:
         raise ValueError("precision must be positive")
-    x, y, dxdt, y_inv = _local_frame(model, place, precision)
+    x, dxdt = _exact_frame(model, place)
     if fn is DX_OVER_Y:
-        return dxdt * y_inv
+        return dxdt * series_invert(_local_frame(model, place, precision), prec=precision)
     if not isinstance(fn, CurveFunction):
         raise TypeError(f"cannot expand {fn!r}")
     if fn.is_zero():
         return Series.zero()
     num = poly_on_series(fn.num, x)
     if fn.k:
-        num = num * y
+        num = num * _local_frame(model, place, precision)
     if fn.den.degree == 0:
         return num
     den = poly_on_series(fn.den, x)
@@ -421,29 +432,33 @@ def order_sequence_at(
 ) -> OrderSequence:
     """Vanishing orders of the twisted canonical system at the place.
 
-    The sections x^a y^b dx/y, in the pole order of the basis, are two
-    ladders over the local frame from dx/y and y dx/y (twisted by t^(i+1)
-    at infinity), each rung the one below times the exact x.
+    Multiplying every section x^a y^b dx/y by y moves every order by
+    v(y): 0 at an ordinary place, 1 at a branch place, -(2g+1) at
+    infinity.  The products x^a y^b dx/dt, in the pole order of the
+    basis, are two ladders from dx/dt and y dx/dt, each rung the one
+    below times the exact x.  The b = 0 ladder is exact, so y is only
+    expanded when the basis has a y-monomial, and no series is inverted.
+    The orders are the staircase valuations minus v(y), plus the twist
+    i+1 at infinity.
 
-    Expansions start at ``start_precision(g, i)``, which only decides
-    how much work is done.  Correctness comes from the doubling loop:
-    every reported order is the valuation of a nonzero coefficient known
+    y is expanded from ``start_precision(g, i)``, which only decides how
+    much work is done.  Correctness comes from the doubling loop: every
+    reported order is the valuation of a nonzero coefficient known
     exactly, and when a combination vanishes within its known window the
     precision doubles.  Reaching the cap is an explicit error, never a
     wrong answer.
     """
     g, i = model.genus, basis.i
-    twist = i + 1 if place.kind == INFINITY else 0
+    x, dxdt = _exact_frame(model, place)
+    shift = {ORDINARY: 0, BRANCH: -1, INFINITY: i + 2 * g + 2}[place.kind]  # twist - v(y)
     prec = start_precision(g, i)
     while True:
         try:
-            dxy = expand_at(model, DX_OVER_Y, place, prec).shift(twist)
-            x, y = _local_frame(model, place, prec)[:2]
-            rung, sers = {}, []  # rung[b]: the last x^a y^b dx/y, a = 0, 1, ...
+            rung, sers = {}, []  # rung[b]: the last x^a y^b dx/dt, a = 0, 1, ...
             for a, b in basis.exponents:
-                rung[b] = x * rung[b] if a else (y * dxy if b else dxy)
+                rung[b] = x * rung[b] if a else (_local_frame(model, place, prec) * dxdt if b else dxdt)
                 sers.append(rung[b])
-            orders = staircase_valuations(sers)
+            orders = [v + shift for v in staircase_valuations(sers)]
             break
         except InconclusiveError:
             prec *= 2

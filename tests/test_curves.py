@@ -10,6 +10,7 @@ from ramloci.curves import (
     CurveFunction,
     HyperellipticModel,
     Place,
+    _exact_frame,
     _local_frame,
     _strip_branch_factors,
     affine_wronskian,
@@ -160,7 +161,7 @@ class TestExpansion:
             expand_at(E1, E1.monomial(1, 0), Place.branch(5), 8)
 
     def test_local_frames_match_sympy(self):
-        # (x, y, dx/dt, 1/y) on y^2 = x^3 - 2x + 5 at the ordinary places
+        # (x, dx/dt, y) on y^2 = x^3 - 2x + 5 at the ordinary places
         # (2, 3) and (2, -3), where x = 2 + t, at infinity, where x = t^-2,
         # and on y^2 = x^3 - 2x + 4 at the branch place (-2, 0), where
         # x = -2 + t^2/f'(-2) = -2 + t^2/10, with t positive throughout
@@ -176,8 +177,10 @@ class TestExpansion:
         for f, place, xt, sign in cases:
             model = HyperellipticModel.from_poly(f)
             y = sign * sympy.sqrt(sympy.expand(sum(c * xt**k for k, c in enumerate(f.coeffs))))
-            expected = (xt, y, sympy.diff(xt, t), 1 / y)
-            for ours, sym in zip(_local_frame(model, place, prec), expected):
+            expected = (xt, sympy.diff(xt, t), y)
+            frame = (*_exact_frame(model, place), _local_frame(model, place, prec))
+            assert frame[0].exact and frame[1].exact
+            for ours, sym in zip(frame, expected, strict=True):
                 hi = ours.known_up_to if not ours.exact else ours.lead + prec
                 sym = sympy.expand(sympy.series(sym, t, 0, hi).removeO())
                 for e in range(ours.lead - 2, hi):
@@ -236,19 +239,24 @@ PRECISION_PLACES = [(G2, Place.branch(x0)) for x0 in range(5)] + [
 ]
 
 
-def _spy_expand_at(monkeypatch):
-    """Record the precision of every expansion order_sequence_at makes."""
+def _spy_y_precision(monkeypatch):
+    """Record the precision of every y expansion order_sequence_at asks
+    of the local frame."""
     import ramloci.curves as curves_mod
 
     seen = []
-    real = curves_mod.expand_at
+    real = curves_mod._local_frame
 
-    def spy(model, fn, place, precision):
-        seen.append(precision)
-        return real(model, fn, place, precision)
+    def spy(model, place, prec):
+        seen.append(prec)
+        return real(model, place, prec)
 
-    monkeypatch.setattr(curves_mod, "expand_at", spy)
+    monkeypatch.setattr(curves_mod, "_local_frame", spy)
     return seen
+
+
+def _y_monomials(basis):
+    return sum(b for _, b in basis.exponents)
 
 
 class TestPrecision:
@@ -260,27 +268,34 @@ class TestPrecision:
             order_sequence_at(model, build_basis(model, i), place).orders
             for model, place in PRECISION_PLACES
         ]
-        seen = _spy_expand_at(monkeypatch)
+        seen = _spy_y_precision(monkeypatch)
         monkeypatch.setattr(curves_mod, "start_precision", lambda g, i: 1)
         for (model, place), orders in zip(PRECISION_PLACES, default):
             basis = build_basis(model, i)
             seen.clear()
             assert order_sequence_at(model, basis, place).orders == orders
+            if not _y_monomials(basis):
+                # the x-ladder is exact: no precision is ever requested
+                assert seen == []
+                continue
             assert seen[0] == 1
             # at infinity the pole orders of the basis are distinct, so the
-            # leading terms alone separate the orders; elsewhere one
-            # coefficient cannot tell two or more orders apart.  At the
-            # branch place over x0 = 0 of G2, x = t^2/24 is a monomial, so
-            # the sections are monomials times one series, as at infinity.
-            if (model, place) == (G2, Place.branch(0)):
+            # leading terms alone separate the orders.  At a branch place
+            # the exact x-ladder has odd orders and y dx/dt an even one, so
+            # one y-rung needs no doubling, two or more do, except over
+            # x0 = 0 of G2, where x = t^2/24 is a monomial, as at infinity.
+            # At an ordinary place one coefficient of y cannot tell its
+            # rung from the x-ladder.
+            if place.kind == "infinity" or (model, place) == (G2, Place.branch(0)):
                 assert max(seen) == 1
-            elif place.kind != "infinity" and len(basis) > 1:
+            elif place.kind == "branch":
+                assert (max(seen) > 1) == (_y_monomials(basis) > 1)
+            else:
                 assert max(seen) > 1
 
-    def test_each_place_checked_once_per_frame(self, monkeypatch):
-        # from a tiny start every place doubles through several precisions
-        # and looks its frame up several times at each one; only a new
-        # frame checks
+    def test_each_place_checked_once(self, monkeypatch):
+        # from a tiny start every place with a y-monomial doubles through
+        # several precisions, one y frame each; only a new place checks
         import collections
 
         import ramloci.curves as curves_mod
@@ -293,31 +308,29 @@ class TestPrecision:
             return real_check(model, place)
 
         monkeypatch.setattr(HyperellipticModel, "check_place", spy_check)
-        lookups = []
-
-        def spy_frame(model, place, prec):
-            lookups.append((model, place, prec))
-            return _local_frame(model, place, prec)
-
-        monkeypatch.setattr(curves_mod, "_local_frame", spy_frame)
+        seen = _spy_y_precision(monkeypatch)
         monkeypatch.setattr(curves_mod, "start_precision", lambda g, i: 1)
+        _exact_frame.cache_clear()
         _local_frame.cache_clear()
         for i in (0, 2):
             for model, place in PRECISION_PLACES:
                 order_sequence_at(model, build_basis(model, i), place)
-        frames = set(lookups)
-        assert len(lookups) > 3 * len(frames)
-        assert collections.Counter(checked) == collections.Counter((m, p) for m, p, _ in frames)
+        assert len(seen) > len(PRECISION_PLACES)
+        assert collections.Counter(checked) == collections.Counter(PRECISION_PLACES)
         # a place off the curve raises on every call and is never cached
         bad = Place.ordinary(2, 5)
         with pytest.raises(NotOnCurveError) as direct:
             real_check(E2, bad)
-        cached = _local_frame.cache_info().currsize
+        cached = (_exact_frame.cache_info().currsize, _local_frame.cache_info().currsize)
         for _ in range(2):
-            with pytest.raises(NotOnCurveError) as raised:
-                expand_at(E2, DX_OVER_Y, bad, 8)
-            assert str(raised.value) == str(direct.value)
-        assert _local_frame.cache_info().currsize == cached
+            for call in (
+                lambda: expand_at(E2, DX_OVER_Y, bad, 8),
+                lambda: order_sequence_at(E2, build_basis(E2, 0), bad),
+            ):
+                with pytest.raises(NotOnCurveError) as raised:
+                    call()
+                assert str(raised.value) == str(direct.value)
+        assert (_exact_frame.cache_info().currsize, _local_frame.cache_info().currsize) == cached
 
     def test_model_hash_is_computed_once(self, monkeypatch):
         # every expand_at looks the model up in the _local_frame cache
@@ -355,17 +368,21 @@ class TestPrecision:
 
     @pytest.mark.parametrize("i", range(0, 9))
     def test_default_start_needs_no_doubling(self, monkeypatch, i):
-        seen = _spy_expand_at(monkeypatch)
+        seen = _spy_y_precision(monkeypatch)
         for model, place in PRECISION_PLACES:
+            basis = build_basis(model, i)
             seen.clear()
-            order_sequence_at(model, build_basis(model, i), place)
-            assert set(seen) == {start_precision(model.genus, i)}
+            order_sequence_at(model, basis, place)
+            if _y_monomials(basis):
+                assert seen == [start_precision(model.genus, i)]
+            else:
+                assert seen == []
 
 
 class TestSectionLadder:
-    """order_sequence_at builds the sections x^a y^b dx/y as x-ladders
-    over the local frame; the reference expands each monomial by Horner's
-    rule and multiplies by dx/y."""
+    """order_sequence_at builds y times the sections x^a y^b dx/y as
+    x-ladders over the local frame; the reference expands each monomial
+    by Horner's rule and multiplies by dx/y."""
 
     @pytest.mark.parametrize("i", range(0, 5))
     def test_rungs_match_monomial_expansions(self, monkeypatch, i):
@@ -387,7 +404,14 @@ class TestSectionLadder:
             [rungs] = seen
             reference = monomial_sections(model, basis, place, prec)
             assert len(rungs) == len(reference) == len(basis)
+            # in the sections' own orders: rung t^(twist - v(y)) against
+            # reference * y t^-v(y), y over its leading power being a unit
+            y = expand_at(model, model.monomial(0, 1), place, prec)
+            twist = i + 1 if place.kind == "infinity" else 0
+            unit = y.shift(-y.valuation)
             for rung, ref in zip(rungs, reference):
+                rung = rung.shift(twist - y.valuation)
+                ref = ref * unit
                 top = min(rung.known_up_to, ref.known_up_to)
                 assert top >= prec
                 for e in range(min(rung.lead, ref.lead), top):
@@ -419,6 +443,61 @@ class TestSectionLadder:
         for place in places:
             orders = order_sequence_at(model, basis, place).orders
             assert orders == order_sequence_by_monomials(model, basis, place), place
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        degree=st.sampled_from([3, 5]),
+        coeffs=st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+        x0=st.fractions(-3, 3, max_denominator=3),
+        y0=st.fractions(1, 4, max_denominator=3),
+        i=st.integers(0, 5),
+    )
+    def test_orders_match_monomial_expansions_at_ordinary_places(
+        self, degree, coeffs, x0, y0, i
+    ):
+        """Random monic squarefree f through (x0, y0), its constant term
+        shifted so that f(x0) = y0^2: at (x0, y0) and (x0, -y0) the ladder
+        gives the orders of the per-monomial expansions."""
+        f = UniPoly([0] + coeffs[: degree - 1] + [1])
+        f = f + (y0 * y0 - f.evaluate(x0))
+        try:
+            model = HyperellipticModel.from_poly(f)
+        except NotSquarefreeError:
+            assume(False)
+        basis = build_basis(model, i)
+        for place in (Place.ordinary(x0, y0), Place.ordinary(x0, -y0)):
+            orders = order_sequence_at(model, basis, place).orders
+            assert orders == order_sequence_by_monomials(model, basis, place), place
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_no_root_and_no_inverse_without_a_y_monomial(self, monkeypatch, i):
+        # a regression guard: at i <= 1 the basis is 1, x, ..., and every
+        # section times y is the exact x^a dx/dt
+        import ramloci.curves as curves_mod
+
+        expected = {
+            (model, place): order_sequence_at(model, build_basis(model, i), place)
+            for model, place in PRECISION_PLACES
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("order_sequence_at expanded y or inverted a series")
+
+        for name in ("series_sqrt", "_solve_branch_parameter", "series_invert"):
+            monkeypatch.setattr(curves_mod, name, refuse)
+        seen = []
+        real = curves_mod.staircase_valuations
+
+        def spy(series_list):
+            seen.extend(series_list)
+            return real(series_list)
+
+        monkeypatch.setattr(curves_mod, "staircase_valuations", spy)
+        _exact_frame.cache_clear()
+        _local_frame.cache_clear()
+        for (model, place), seq in expected.items():
+            assert order_sequence_at(model, build_basis(model, i), place) == seq
+        assert seen and all(s.exact for s in seen)
 
     def test_builds_no_curve_function(self, monkeypatch):
         # a regression guard: the sections are series products only
