@@ -78,7 +78,7 @@ CURVE_GOLDEN = (
     [
         (f"curve_weights_{name}_i{i}.json", ("weights", model, "--i", str(i), "--format", "json"))
         for name, model in GOLDEN_CURVES.items()
-        for i in range(5)
+        for i in range(9)
     ]
     + [
         (f"curve_torsion_nonsplit-elliptic_i{i}.json",
