@@ -36,6 +36,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     CurveValidationError,
@@ -151,8 +152,7 @@ class HyperellipticModel:
             raise NotMonicError(f"leading coefficient {f.lead} is not 1")
         if not f.is_squarefree():
             raise NotSquarefreeError("f has a repeated root; the curve would be singular")
-        roots = f.rational_roots()
-        branch = tuple(sorted(x for x, _ in roots))
+        branch = tuple(f.simple_rational_roots())
         genus = (f.degree - 1) // 2
         return cls(f=f, genus=genus, branch_x=branch, splits=len(branch) == f.degree)
 
@@ -479,10 +479,31 @@ def order_sequence_at(
 # Wronskians and weight bookkeeping
 
 
-def affine_wronskian(model: HyperellipticModel, basis: MonomialBasis) -> CurveFunction:
+class _WronskianParts(NamedTuple):
+    """The affine wronskian W = c det y^(k%2) / f^e before anything
+    cancels, det being the Bareiss determinant of the y-block over Z[x].
+    f is squarefree, so f^e has multiplicity e at each root of f and
+    every valuation of W is exponent arithmetic on det."""
+
+    det: UniPoly
+    k: int
+    e: int
+    c: Fraction
+
+    def branch_ord(self, x0) -> int:  # at the branch place over a rational root x0
+        return 2 * (self.det.root_multiplicity(x0) - self.e) + self.k % 2
+
+    def infinity_ord(self, model: HyperellipticModel) -> int:  # poles 2 and 2g+1 of x, y
+        return 2 * (self.e * model.f.degree - self.det.degree) - self.k % 2 * (2 * model.genus + 1)
+
+    def branch_total(self, f: UniPoly, stripped: UniPoly) -> int:
+        """Sum over all 2g+1 branch places; stripped is det without f's factors."""
+        return 2 * (self.det.degree - stripped.degree - self.e * f.degree) + self.k % 2 * f.degree
+
+
+def _wronskian_parts(model: HyperellipticModel, basis: MonomialBasis) -> _WronskianParts:
     """Determinant of the derivative matrix (d/dx)^m applied to the basis
-    monomials; at places where x is a local parameter its valuation is
-    the local ramification weight.
+    monomials, as uncancelled ``_WronskianParts``.
 
     Since y' = f' y / (2f), the m-th derivative of x^a y^b (b in {0, 1})
     is R_m y^b / (2f)^m with R_m in Q[x]:
@@ -504,12 +525,6 @@ def affine_wronskian(model: HyperellipticModel, basis: MonomialBasis) -> CurveFu
     where Y is the k x k block of y-columns on rows A+1..n-1.  Only Y
     goes through fraction-free Bareiss, and (2f)^(A(A+1)/2) cancels
     against the denominator by exponent arithmetic, as does f^(k//2).
-
-    What is left is num / (c f^e).  Since f is squarefree, every
-    irreducible factor of f^e divides f exactly once, so the common
-    factor is removed by at most e rounds of dividing num by gcd(num, f);
-    once gcd(num, f) = 1 no factor of the denominator divides num, and
-    (num, k, den) is in canonical form without a gcd against f^e.
     """
     n = len(basis)
     f = model.f
@@ -528,14 +543,28 @@ def affine_wronskian(model: HyperellipticModel, basis: MonomialBasis) -> CurveFu
             col.append(two_f * col[-1].derivative() + (1 - 2 * m) * fp * col[-1])
         y_columns.append(col[x_count:])
     k = len(y_columns)
-    num = UniPoly.const(1)
+    det = UniPoly.const(1)
     if k:
-        num = bareiss_det([[col[r] for col in y_columns] for r in range(k)])
-        if num.is_zero():
+        det = bareiss_det([[col[r] for col in y_columns] for r in range(k)])
+        if det.is_zero():
             raise DegenerateSystemError("wronskian of a monomial basis vanished")
     # rows x_count..n-1 carry (2f)^power, and y^k brings f^(k//2) upstairs
     power = k * (x_count + n - 1) // 2
-    e = power - k // 2
+    c = Fraction(sign * math.prod(map(math.factorial, range(x_count))), 2**power)
+    return _WronskianParts(det, k, power - k // 2, c)
+
+
+def affine_wronskian(model: HyperellipticModel, basis: MonomialBasis) -> CurveFunction:
+    """The affine wronskian as a canonical ``CurveFunction``: the parts
+    of ``_wronskian_parts``, cancelled.  At places where x is a local
+    parameter its valuation is the local ramification weight.
+
+    f is squarefree, so every irreducible factor of f^e divides f once,
+    and at most e rounds of dividing det by gcd(det, f) leave num prime
+    to the denominator, with no gcd against f^e.
+    """
+    num, k, e, c = _wronskian_parts(model, basis)
+    f = model.f
     den = UniPoly.const(1)
     while e:
         shared = num.gcd(f)
@@ -544,9 +573,7 @@ def affine_wronskian(model: HyperellipticModel, basis: MonomialBasis) -> CurveFu
         num = num.exact_div(shared)
         den = den * f.exact_div(shared)
         e -= 1
-    den = den * f**e
-    num = num * Fraction(sign * math.prod(map(math.factorial, range(x_count))), 2**power)
-    return CurveFunction(model, num, k % 2, den)
+    return CurveFunction(model, num * c, k % 2, den * f**e)
 
 
 def ord_at_infinity(model: HyperellipticModel, fn: CurveFunction) -> int:
@@ -612,7 +639,10 @@ def total_weight(model: HyperellipticModel, i: int) -> WeightReport:
 
     Located weights come from order sequences; everything else comes
     from the wronskian valuation bookkeeping, with the two methods
-    cross-checked wherever both apply.
+    cross-checked wherever both apply.  The wronskian valuations are
+    read off its uncancelled parts: one root multiplicity per rational
+    branch root, a degree at infinity, one strip by gcds with f for the
+    sum over all branch places.
     """
     if i < 0:
         raise ValueError("i must be nonnegative")
@@ -620,14 +650,14 @@ def total_weight(model: HyperellipticModel, i: int) -> WeightReport:
     r = g + i - 1
     shift = r * (r + 1) // 2
     basis = build_basis(model, i)
-    wron = affine_wronskian(model, basis)
+    wron = _wronskian_parts(model, basis)
 
     entries = []
     located_branch = 0
     for x0 in model.branch_x:
         place = Place.branch(x0)
         seq = order_sequence_at(model, basis, place)
-        expected = ord_at_branch(model, wron, x0) + shift
+        expected = wron.branch_ord(x0) + shift
         if seq.weight != expected:
             raise InternalCheckError(
                 f"branch weight at {place}: series gave {seq.weight}, "
@@ -638,7 +668,7 @@ def total_weight(model: HyperellipticModel, i: int) -> WeightReport:
 
     inf = Place.infinity()
     seq_inf = order_sequence_at(model, basis, inf)
-    ord_inf = ord_at_infinity(model, wron)
+    ord_inf = wron.infinity_ord(model)
     expected_inf = (g + i) * (2 * g + i - 1) - 3 * shift + ord_inf
     if seq_inf.weight != expected_inf:
         raise InternalCheckError(
@@ -647,7 +677,7 @@ def total_weight(model: HyperellipticModel, i: int) -> WeightReport:
         )
     entries.append((inf, seq_inf))
 
-    branch_ords = branch_ord_total(model, wron)
+    branch_ords = wron.branch_total(model.f, _strip_branch_factors(wron.det, model.f))
     branch_weight_all = branch_ords + (2 * g + 1) * shift
     remainder_branch = branch_weight_all - located_branch
     remainder_ordinary = -ord_inf - branch_ords
@@ -737,10 +767,10 @@ def torsion_check(model: HyperellipticModel, j: int) -> bool:
 
     Both sides are compared as monic squarefree polynomials in x.  The
     ordinary part of the ramification locus is the squarefree part of
-    the wronskian numerator with branch-supported factors removed; branch
-    places (the 2-torsion) are ramified iff their common weight is
-    positive, which the wronskian valuation bookkeeping decides without
-    root-finding.
+    the wronskian's block determinant with branch-supported factors
+    removed; branch places (the 2-torsion) are ramified iff their common
+    weight is positive, which exponent arithmetic on that same stripped
+    determinant decides without root-finding.
     """
     if model.genus != 1:
         raise UnsupportedModelError("torsion check needs a genus-1 model")
@@ -748,14 +778,12 @@ def torsion_check(model: HyperellipticModel, j: int) -> bool:
         raise ValueError("j must be at least 1")
     n = j + 1
     f = model.f
-    basis = build_basis(model, j)
-    wron = affine_wronskian(model, basis)
+    wron = _wronskian_parts(model, build_basis(model, j))
+    stripped = _strip_branch_factors(wron.det, f)
+    ordinary = stripped.squarefree_part()
 
-    ordinary = _strip_branch_factors(wron.num, f).squarefree_part()
-
-    r = j
-    shift = r * (r + 1) // 2
-    branch_weight_all = branch_ord_total(model, wron) + 3 * shift
+    shift = j * (j + 1) // 2
+    branch_weight_all = wron.branch_total(f, stripped) + 3 * shift
     # each branch place is a 2-torsion point, so the three weights agree
     if branch_weight_all % 3:
         raise InternalCheckError("branch weights of a genus-1 system must agree")

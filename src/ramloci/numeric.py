@@ -569,15 +569,8 @@ class UniPoly:
 
     def rational_roots(self):
         """All rational roots, with multiplicity, as a sorted list of
-        pairs (root, multiplicity).
-
-        Let s be the squarefree part of p, made primitive over Z, of
-        degree n and leading coefficient c.  Then q(z) = c^(n-1) s(z/c)
-        is monic over Z, so z = c x is an integer for every rational
-        root x of p.  The integer roots of q come from p-adic lifting,
-        at a cost that grows with the bit size of the coefficients, not
-        with their number of divisors.
-        """
+        pairs (root, multiplicity): the roots of the squarefree part,
+        each with its multiplicity in p."""
         if self.is_zero():
             raise ValueError("zero polynomial")
         p = self
@@ -590,16 +583,25 @@ class UniPoly:
             p = UniPoly.from_numerators(p.nums[k:], p.den)
             roots.append((Fraction(0), k))
         if p.degree >= 1:
-            # a monic canonical polynomial has primitive numerators
-            ints = p.squarefree_part().nums
-            n, lead = len(ints) - 1, ints[-1]
-            q = [c * lead ** (n - 1 - j) for j, c in enumerate(ints[:-1])] + [1]
-            for z in _integer_root_candidates(q):
-                cand = Fraction(z, lead)
-                m = p.root_multiplicity(cand)
-                if m:
-                    roots.append((cand, m))
+            for cand in p.squarefree_part().simple_rational_roots():
+                roots.append((cand, p.root_multiplicity(cand)))
         return sorted(roots)
+
+    def simple_rational_roots(self) -> list[Fraction]:
+        """Sorted rational roots of a squarefree polynomial of positive
+        degree, which the caller has checked (``is_squarefree``): the root
+        search may not end otherwise.
+
+        With numerators of degree n and lead c, q(z) = c^(n-1) p(z/c) is
+        monic and squarefree over Z, so z = c x is an integer for every
+        rational root x.  The integer roots of q come from p-adic lifting,
+        at a cost that grows with the bit size of the coefficients, and
+        each candidate is settled by one exact evaluation.
+        """
+        ints, lead = self.nums, self.nums[-1]
+        q = [c * lead ** (len(ints) - 2 - j) for j, c in enumerate(ints[:-1])] + [1]
+        cands = _integer_root_candidates(q)
+        return sorted(Fraction(z, lead) for z in cands if not _homogeneous_value(ints, z, lead))
 
     def __repr__(self):
         if self.is_zero():

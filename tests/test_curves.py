@@ -13,6 +13,7 @@ from ramloci.curves import (
     _exact_frame,
     _local_frame,
     _strip_branch_factors,
+    _wronskian_parts,
     affine_wronskian,
     branch_ord_total,
     build_basis,
@@ -65,6 +66,26 @@ class TestModelValidation:
     def test_not_squarefree(self):
         with pytest.raises(NotSquarefreeError):
             HyperellipticModel.from_poly(X**3 - 2 * X**2 + X)
+
+    def test_one_gcd_and_no_division_per_root(self, monkeypatch):
+        # a regression guard: f is squarefree once gcd(f, f') is 1, so every
+        # rational root is simple and one evaluation settles each candidate
+        calls = {"gcd": 0}
+        real_gcd = UniPoly.gcd
+
+        def gcd_spy(self, other):
+            calls["gcd"] += 1
+            return real_gcd(self, other)
+
+        def refuse(*args):
+            raise AssertionError("validation divided f by a linear factor")
+
+        monkeypatch.setattr(UniPoly, "gcd", gcd_spy)
+        monkeypatch.setattr(UniPoly, "root_multiplicity", refuse)
+        for model in (E1, E2, G2, G3):
+            calls["gcd"] = 0
+            again = HyperellipticModel.from_poly(model.f)
+            assert again.branch_x == model.branch_x and calls["gcd"] == 1
 
     def test_branch_points(self):
         assert E1.branch_x == (Fraction(-1), Fraction(0), Fraction(1))
@@ -680,6 +701,68 @@ class TestWronskian:
             psi = division_polynomial(E1, n)
             per_root = sum(ord_at_branch(E1, psi, x0) for x0 in E1.branch_x)
             assert branch_ord_total(E1, psi) == per_root == (3 if n % 2 == 0 else 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        split=st.booleans(),
+        degree=st.sampled_from([3, 5]),
+        roots=st.lists(st.integers(-6, 6), min_size=5, max_size=5, unique=True),
+        coeffs=st.lists(st.fractions(-9, 9, max_denominator=2), min_size=5, max_size=5),
+        i=st.integers(0, 8),
+    )
+    def test_parts_valuations_match_canonical_wronskian(self, split, degree, roots, coeffs, i):
+        if split:
+            f = UniPoly.const(1)
+            for r in roots[:degree]:
+                f = f * (X - r)
+        else:
+            f = X**degree + UniPoly(coeffs[:degree])
+        assume(f.is_squarefree())
+        model = HyperellipticModel.from_poly(f)
+        basis = build_basis(model, i)
+        parts = _wronskian_parts(model, basis)
+        wron = affine_wronskian(model, basis)
+        # W = c det y^(k%2) / f^e, uncancelled
+        assert wron.k == parts.k % 2
+        assert wron.num * f**parts.e == parts.det * parts.c * wron.den
+        for x0 in model.branch_x:
+            assert parts.branch_ord(x0) == ord_at_branch(model, wron, x0)
+        assert parts.infinity_ord(model) == ord_at_infinity(model, wron)
+        stripped = _strip_branch_factors(parts.det, f)
+        assert parts.branch_total(f, stripped) == branch_ord_total(model, wron)
+
+    def test_bookkeeping_never_divides_by_a_power_of_f(self, monkeypatch):
+        # a regression guard: total_weight and torsion_check read every
+        # wronskian valuation off the uncancelled parts
+        import ramloci.curves as curves_mod
+
+        weights = {(m, i): total_weight(m, i) for m in (E1, E2, G2, G3) for i in range(0, 7)}
+        torsion = {(m, j): torsion_check(m, j) for m in (E1, E2) for j in range(1, 7)}
+        fs = {m.f for m in (E1, E2, G2, G3)}
+        calls = {"root_multiplicity": 0}
+        real_mult, real_pow = UniPoly.root_multiplicity, UniPoly.__pow__
+
+        def mult_spy(self, x0):
+            calls["root_multiplicity"] += 1
+            return real_mult(self, x0)
+
+        def pow_spy(self, e):
+            if self.monic() in fs:
+                raise AssertionError("the bookkeeping raised f to a power")
+            return real_pow(self, e)
+
+        def refuse(*args):
+            raise AssertionError("the bookkeeping built the canonical wronskian")
+
+        monkeypatch.setattr(UniPoly, "root_multiplicity", mult_spy)
+        monkeypatch.setattr(UniPoly, "__pow__", pow_spy)
+        monkeypatch.setattr(curves_mod, "affine_wronskian", refuse)
+        for (model, i), report in weights.items():
+            calls["root_multiplicity"] = 0
+            assert total_weight(model, i) == report
+            assert calls["root_multiplicity"] == len(model.branch_x), (model.f, i)
+        for (model, j), verdict in torsion.items():
+            assert torsion_check(model, j) is verdict
 
     @pytest.mark.parametrize("model", [E1, E2], ids=["x^3-x", "x^3+1"])
     def test_ordinary_locus_matches_norm(self, model):

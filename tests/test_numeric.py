@@ -400,6 +400,22 @@ class TestUniPoly:
             p = p * UniPoly([-r, 1])
         assert p.rational_roots() == _rational_roots_by_divisors(p)
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.integers(-30, 30), min_size=1, max_size=6).filter(lambda cs: cs[-1]),
+        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=4, unique=True),
+        st.integers(-5, 5).filter(bool),
+    )
+    def test_simple_rational_roots_of_squarefree(self, cs, planted, scale):
+        # planted roots and a non-monic lead of either sign
+        p = UniPoly(cs) * scale
+        for r in planted:
+            p = p * UniPoly([-r, 1])
+        if p.degree < 1 or not p.is_squarefree():
+            return
+        assert p.simple_rational_roots() == [r for r, m in p.rational_roots()]
+        assert p.simple_rational_roots() == [r for r, _ in _rational_roots_by_divisors(p)]
+
     def test_rational_roots_large_constant_term(self):
         x = UniPoly.x()
         c = 10**30 + 1
