@@ -13,7 +13,6 @@ formal to match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chow import (
@@ -30,7 +29,9 @@ from .chow import (
 )
 
 
-@dataclass(frozen=True)
+_ZERO = ChowClass()
+
+
 class ChernPoly:
     """Total Chern class 1 + c1 + c2 truncated in degree 2.
 
@@ -39,15 +40,32 @@ class ChernPoly:
     and formal inversion stay within this truncation.
     """
 
-    ring: ChowRing
-    c1: ChowClass = ChowClass()
-    c2: ChowClass = ChowClass()
+    __slots__ = ("ring", "c1", "c2")
 
-    def __post_init__(self):
-        if self.c1.c0 or self.c1.cPt:
+    def __init__(self, ring: ChowRing, c1: ChowClass = _ZERO, c2: ChowClass = _ZERO):
+        if c1.c0 or c1.cPt:
             raise ValueError("c1 must be purely of degree 1")
-        if self.c2.c0 or self.c2.cK1 or self.c2.cK2 or self.c2.cDelta:
+        if c2.c0 or c2.cK1 or c2.cK2 or c2.cDelta:
             raise ValueError("c2 must be purely of degree 2")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+
+    def __setattr__(self, *args):
+        raise AttributeError("ChernPoly is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, ChernPoly):
+            return NotImplemented
+        return (self.ring, self.c1, self.c2) == (other.ring, other.c1, other.c2)
+
+    def __hash__(self):
+        return hash((self.ring, self.c1, self.c2))
+
+    def __repr__(self):
+        return f"ChernPoly({self.ring!r}, c1={self.c1!r}, c2={self.c2!r})"
 
     @classmethod
     def of_line_bundle(cls, ring: ChowRing, c1: ChowClass) -> "ChernPoly":

@@ -25,22 +25,36 @@ coefficient and intersection number is a polynomial in (g, i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
 class ChowClass:
     """Graded class c0*1 + cK1*K1 + cK2*K2 + cDelta*Delta + cPt*pt."""
 
-    c0: Any = 0
-    cK1: Any = 0
-    cK2: Any = 0
-    cDelta: Any = 0
-    cPt: Any = 0
+    __slots__ = ("c0", "cK1", "cK2", "cDelta", "cPt")
+
+    def __init__(self, c0: Any = 0, cK1: Any = 0, cK2: Any = 0, cDelta: Any = 0, cPt: Any = 0):
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "cK1", cK1)
+        object.__setattr__(self, "cK2", cK2)
+        object.__setattr__(self, "cDelta", cDelta)
+        object.__setattr__(self, "cPt", cPt)
+
+    def __setattr__(self, *args):
+        raise AttributeError("ChowClass is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, ChowClass):
+            return NotImplemented
+        return self.coords() == other.coords()
+
+    def __hash__(self):
+        return hash(self.coords())
 
     def coords(self) -> tuple:
         return (self.c0, self.cK1, self.cK2, self.cDelta, self.cPt)
@@ -82,16 +96,32 @@ DELTA = ChowClass(cDelta=1)
 PT = ChowClass(cPt=1)
 
 
-@dataclass(frozen=True)
 class ChowRing:
     """The intersection ring for a concrete genus g >= 1, or for the
     formal genus ``ParamPoly.g()``."""
 
-    genus: Any
+    __slots__ = ("genus",)
 
-    def __post_init__(self):
-        if isinstance(self.genus, int) and self.genus < 1:
+    def __init__(self, genus: Any):
+        if isinstance(genus, int) and genus < 1:
             raise ValueError("genus must be at least 1")
+        object.__setattr__(self, "genus", genus)
+
+    def __setattr__(self, *args):
+        raise AttributeError("ChowRing is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, ChowRing):
+            return NotImplemented
+        return self.genus == other.genus
+
+    def __hash__(self):
+        return hash(self.genus)
+
+    def __repr__(self):
+        return f"ChowRing({self.genus!r})"
 
 
 def check_nonnegative(**indices) -> None:

@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formulas
@@ -231,37 +230,6 @@ def _parse_place(model: HyperellipticModel, text: str) -> Place:
 # Run configuration
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    g_min: int = 1
-    g_max: int = 9
-    i_min: int = 0
-    i_max: int = 8
-    fmt: str = "pretty"
-    case_filter: str | None = None
-
-    def __post_init__(self):
-        if not 1 <= self.g_min <= self.g_max:
-            raise ConfigError(f"need 1 <= g_min <= g_max, got {self.g_min}..{self.g_max}")
-        if not 0 <= self.i_min <= self.i_max:
-            raise ConfigError(f"need 0 <= i_min <= i_max, got {self.i_min}..{self.i_max}")
-        if self.g_max > MAX_VERIFY_G or self.i_max > MAX_VERIFY_I:
-            raise ConfigError(
-                f"grid {self.g_min}..{self.g_max} x {self.i_min}..{self.i_max} exceeds "
-                f"the cap g <= {MAX_VERIFY_G}, i <= {MAX_VERIFY_I}"
-            )
-        if self.fmt not in _FORMATS:
-            raise ConfigError(f"unknown format {self.fmt!r}")
-
-    @property
-    def g_range(self):
-        return range(self.g_min, self.g_max + 1)
-
-    @property
-    def i_range(self):
-        return range(self.i_min, self.i_max + 1)
-
-
 def _parse_span(text: str, name: str):
     parts = text.split("..")
     try:
@@ -286,20 +254,17 @@ def _emit(text: str, out):
         out.write("\n")
 
 
-def _render_verify(reports, config: RunConfig, out) -> None:
-    if config.fmt == "json":
+def _render_verify(reports, g_span, i_span, fmt: str, out) -> None:
+    if fmt == "json":
         doc = {
             "schema": SCHEMA_VERSION,
             "suite": "verify",
-            "grid": {
-                "g": [config.g_min, config.g_max],
-                "i": [config.i_min, config.i_max],
-            },
+            "grid": {"g": list(g_span), "i": list(i_span)},
             "cases": [r.to_json_dict() for r in reports],
             "passed": all(r.verdict for r in reports),
         }
         _emit(json.dumps(doc, indent=2), out)
-    elif config.fmt == "tsv":
+    elif fmt == "tsv":
         for r in reports:
             size = "x".join(map(str, r.grid_size)) if r.grid_size else "symbolic"
             _emit(
@@ -338,24 +303,25 @@ def _json_or_pretty(doc: dict, lines, config_fmt: str, out) -> None:
 
 
 def cmd_verify(args, out) -> int:
-    g_span = _parse_span(args.g, "g")
-    i_span = _parse_span(args.i, "i")
-    config = RunConfig(
-        g_min=g_span[0],
-        g_max=g_span[1],
-        i_min=i_span[0],
-        i_max=i_span[1],
-        fmt=args.format,
-        case_filter=args.filter,
-    )
+    g_min, g_max = _parse_span(args.g, "g")
+    i_min, i_max = _parse_span(args.i, "i")
+    if not 1 <= g_min <= g_max:
+        raise ConfigError(f"need 1 <= g_min <= g_max, got {g_min}..{g_max}")
+    if not 0 <= i_min <= i_max:
+        raise ConfigError(f"need 0 <= i_min <= i_max, got {i_min}..{i_max}")
+    if g_max > MAX_VERIFY_G or i_max > MAX_VERIFY_I:
+        raise ConfigError(
+            f"grid {g_min}..{g_max} x {i_min}..{i_max} exceeds "
+            f"the cap g <= {MAX_VERIFY_G}, i <= {MAX_VERIFY_I}"
+        )
     reports = formulas.run_suite(
-        g_range=config.g_range,
-        i_range=config.i_range,
-        name_filter=config.case_filter,
+        g_range=range(g_min, g_max + 1),
+        i_range=range(i_min, i_max + 1),
+        name_filter=args.filter,
     )
     if not reports:
-        raise ConfigError(f"no cases match filter {config.case_filter!r}")
-    _render_verify(reports, config, out)
+        raise ConfigError(f"no cases match filter {args.filter!r}")
+    _render_verify(reports, (g_min, g_max), (i_min, i_max), args.format, out)
     return 0 if all(r.verdict for r in reports) else 1
 
 
@@ -365,6 +331,8 @@ def cmd_curve(args, out) -> int:
         raise ConfigError(
             f"curve {args.curve_cmd} needs {min_i} <= --i <= {MAX_TWIST}, got {args.i}"
         )
+    if args.place is not None and args.curve_cmd != "orders":
+        raise ConfigError("--place applies only to curve orders")
     model = parse_curve(args.model, require_split=args.require_split)
     fmt = args.format
     equation = f"y^2 = {model.f}"

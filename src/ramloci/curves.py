@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -91,20 +90,34 @@ def start_precision(g: int, i: int) -> int:
 # Places and models
 
 
-@dataclass(frozen=True)
 class Place:
-    kind: str
-    x: Fraction | None = None
-    y: Fraction | None = None
-    _hash: int = field(init=False, repr=False, compare=False)
+    """A place of a model: its kind, with (x, y) at an affine place."""
 
-    def __post_init__(self):
+    __slots__ = ("kind", "x", "y", "_hash")
+
+    def __init__(self, kind: str, x: Fraction | None = None, y: Fraction | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
         # computed once: the local-frame cache hashes the place on every
         # lookup, which would hash its Fraction coordinates again
-        object.__setattr__(self, "_hash", hash((self.kind, self.x, self.y)))
+        object.__setattr__(self, "_hash", hash((kind, x, y)))
+
+    def __setattr__(self, *args):
+        raise AttributeError("Place is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, Place):
+            return NotImplemented
+        return (self.kind, self.x, self.y) == (other.kind, other.x, other.y)
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return f"Place({self.kind!r}, {self.x!r}, {self.y!r})"
 
     @classmethod
     def ordinary(cls, x, y) -> "Place":
@@ -124,23 +137,40 @@ class Place:
         return f"({self.x}, {self.y})"
 
 
-@dataclass(frozen=True)
 class HyperellipticModel:
     """Validated odd hyperelliptic model y^2 = f(x)."""
 
-    f: UniPoly
-    genus: int
-    branch_x: tuple[Fraction, ...]
-    splits: bool
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("f", "genus", "branch_x", "splits", "_hash")
 
-    def __post_init__(self):
+    def __init__(self, f: UniPoly, genus: int, branch_x: tuple[Fraction, ...], splits: bool):
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "branch_x", branch_x)
+        object.__setattr__(self, "splits", splits)
         # computed once: the local-frame and division-polynomial caches
         # hash the model on every lookup, and f determines the rest
-        object.__setattr__(self, "_hash", hash(self.f))
+        object.__setattr__(self, "_hash", hash(f))
+
+    def __setattr__(self, *args):
+        raise AttributeError("HyperellipticModel is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, HyperellipticModel):
+            return NotImplemented
+        return (self.f, self.genus, self.branch_x, self.splits) == (
+            other.f,
+            other.genus,
+            other.branch_x,
+            other.splits,
+        )
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return f"HyperellipticModel(y^2 = {self.f})"
 
     @classmethod
     def from_poly(cls, f: UniPoly) -> "HyperellipticModel":
@@ -234,7 +264,6 @@ class CurveFunction:
 # Monomial bases of the twisted canonical systems
 
 
-@dataclass(frozen=True)
 class MonomialBasis:
     """Monomials x^a y^b with 2a + (2g+1)b <= 2g+i-1, by pole order.
 
@@ -244,9 +273,28 @@ class MonomialBasis:
     exactly g+i of them and their pole orders are pairwise distinct.
     """
 
-    model: HyperellipticModel
-    i: int
-    exponents: tuple[tuple[int, int], ...]
+    __slots__ = ("model", "i", "exponents")
+
+    def __init__(self, model: HyperellipticModel, i: int, exponents: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "exponents", exponents)
+
+    def __setattr__(self, *args):
+        raise AttributeError("MonomialBasis is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, MonomialBasis):
+            return NotImplemented
+        return (self.model, self.i, self.exponents) == (other.model, other.i, other.exponents)
+
+    def __hash__(self):
+        return hash((self.model, self.i, self.exponents))
+
+    def __repr__(self):
+        return f"MonomialBasis(i={self.i}, {self.monomial_names()})"
 
     def __len__(self):
         return len(self.exponents)
@@ -378,8 +426,7 @@ def expand_at(model: HyperellipticModel, fn, place: Place, precision: int) -> Se
 # Order sequences via valuation-staircase elimination
 
 
-@dataclass(frozen=True)
-class OrderSequence:
+class OrderSequence(NamedTuple):
     """Strictly increasing vanishing orders and their weight sum."""
 
     orders: tuple[int, ...]
@@ -421,8 +468,10 @@ def staircase_valuations(series_list) -> list[int]:
             return sorted(by_val)
         pivot = work[clash[0]]
         other = work[clash[1]]
-        ratio = Fraction(other.nums[0] * pivot.den, other.den * pivot.nums[0])
-        work[clash[1]] = other - pivot.scale(ratio)
+        # the leading coefficients over one denominator, made coprime
+        p0, o0 = pivot.nums[0] * other.den, other.nums[0] * pivot.den
+        common = math.gcd(p0, o0)
+        work[clash[1]] = other.scale(p0 // common) + pivot.scale(-(o0 // common))
 
 
 def order_sequence_at(
@@ -614,8 +663,7 @@ def branch_ord_total(model: HyperellipticModel, fn: CurveFunction) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(NamedTuple):
     """Ramification bookkeeping for one twisted canonical system.
 
     ``entries`` lists the places with exact expansions (rational branch

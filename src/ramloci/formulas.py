@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import fnmatch
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .bundles import jet_chern, moving_locus_class, special_ramification_class
 from .chow import DELTA, ChowRing, chow_integrate, chow_mul, weierstrass_class
@@ -30,22 +29,13 @@ _I = ParamPoly.i()
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     """A named closed-form count with its per-variable degree bound."""
 
     name: str
     expr: ParamPoly
     degree_bound: tuple[int, int]
     anchor: str
-
-    def __post_init__(self):
-        dg, di = self.expr.degrees()
-        bg, bi = self.degree_bound
-        if dg > bg or di > bi:
-            raise ValueError(
-                f"degree bound {self.degree_bound} does not dominate ({dg}, {di})"
-            )
 
     def __call__(self, g, i) -> Fraction:
         return self.expr(g, i)
@@ -57,6 +47,9 @@ CLOSED_FORMS: dict[str, ClosedForm] = {}
 
 
 def _register(name: str, expr: ParamPoly, anchor: str) -> ClosedForm:
+    dg, di = expr.degrees()
+    if dg > _BOUND[0] or di > _BOUND[1]:
+        raise ValueError(f"degree bound {_BOUND} does not dominate ({dg}, {di})")
     form = ClosedForm(name, expr, _BOUND, anchor)
     CLOSED_FORMS[name] = form
     return form
@@ -129,8 +122,7 @@ _register(
 )
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(NamedTuple):
     """Outcome of one certification case.
 
     For grid cases the verdict is exact equality of the engine

@@ -857,7 +857,7 @@ class Series:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Series":
-        c = Fraction(c)
+        """c times the series, for an int or a Fraction c."""
         if not c:
             return Series.zero()
         return Series.from_numerators(

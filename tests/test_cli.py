@@ -18,7 +18,6 @@ from ramloci.cli import (
     MAX_TWIST,
     MAX_VERIFY_G,
     MAX_VERIFY_I,
-    RunConfig,
     _Parser,
     main,
     parse_curve,
@@ -244,14 +243,19 @@ class TestParseCurve:
         _assert_one_error_line(proc, "config")
 
 
-class TestRunConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            RunConfig(g_min=0)
-        with pytest.raises(ConfigError):
-            RunConfig(g_min=5, g_max=2)
-        with pytest.raises(ConfigError):
-            RunConfig(fmt="xml")
+class TestVerifySpans:
+    @pytest.mark.parametrize(
+        "option, span",
+        [("--g", "0..3"), ("--g", "5..2"), ("--i", "4..1")],
+    )
+    def test_bad_span_is_config_error(self, option, span, capsys):
+        code, text = run_cli("verify", option, span)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error[config]: need ")
+
+    def test_unknown_format_is_usage_error(self, capsys):
+        assert run_cli("verify", "--format", "xml") == (2, "")
+        assert capsys.readouterr().err.startswith("error[usage]: ")
 
 
 class TestVerifyCommand:
@@ -462,6 +466,12 @@ class TestCurveCommand:
         proc = run_module("curve", sub, "y^2 = x^3 - x", "--i", i, "--place", "inf")
         _assert_one_error_line(proc, "config")
         assert "--i" in proc.stderr
+
+    @pytest.mark.parametrize("sub, i", [("basis", "0"), ("weights", "1"), ("torsion", "1")])
+    def test_place_outside_orders_is_config_error(self, sub, i):
+        proc = run_module("curve", sub, "y^2 = x^3 + 1", "--i", i, "--place", "inf", timeout=20)
+        _assert_one_error_line(proc, "config")
+        assert proc.stderr == "error[config]: --place applies only to curve orders\n"
 
     @pytest.mark.parametrize(
         "equation",

@@ -541,6 +541,24 @@ class TestSectionLadder:
             assert order_sequence_at(model, build_basis(model, i), place) == seq
 
 
+def _staircase_by_ratios(series_list):
+    """Staircase elimination by one Fraction ratio per clash."""
+    work = list(series_list)
+    while True:
+        by_val = {}
+        for idx, s in enumerate(work):
+            if not s.nums:
+                raise InconclusiveError("vanished")
+            if s.lead in by_val:
+                pivot, other = work[by_val[s.lead]], s
+                ratio = other.coefficient(s.lead) / pivot.coefficient(s.lead)
+                work[idx] = other - pivot.scale(ratio)
+                break
+            by_val[s.lead] = idx
+        else:
+            return sorted(by_val)
+
+
 class TestStaircase:
     def test_distinct_valuations(self):
         a = Series(0, [1, 2, 3, 4])
@@ -556,6 +574,57 @@ class TestStaircase:
         s = Series(0, [1, 2, 3])
         with pytest.raises(InconclusiveError):
             staircase_valuations([s, s])
+
+    def test_mixed_denominators(self):
+        a = Series(0, [Fraction(1, 2), Fraction(1, 3), 0, 1])
+        b = Series(0, [Fraction(2, 3), Fraction(4, 9), Fraction(1, 5), 0])
+        assert staircase_valuations([a, b]) == [0, 2]
+
+    def test_runs_without_fractions(self, monkeypatch):
+        import ramloci.curves as curves_mod
+        import ramloci.numeric as numeric_mod
+
+        seen = []
+        real = curves_mod.staircase_valuations
+
+        def spy(series_list):
+            seen.append(list(series_list))
+            return real(series_list)
+
+        monkeypatch.setattr(curves_mod, "staircase_valuations", spy)
+        for model in (G2, G3):
+            order_sequence_at(model, build_basis(model, 4), Place.infinity())
+        order_sequence_at(G2, build_basis(G2, 4), Place.branch(2))
+        expected = [real(sers) for sers in seen]
+
+        def no_fractions(*args):
+            raise AssertionError("staircase_valuations built a Fraction")
+
+        monkeypatch.setattr(curves_mod, "Fraction", no_fractions)
+        monkeypatch.setattr(numeric_mod, "Fraction", no_fractions)
+        assert [real(sers) for sers in seen] == expected
+        assert [len(vals) for vals in expected] == [6, 7, 6]  # g + i sections each
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=1, max_size=6),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_matches_elimination_by_fraction_ratios(self, specs):
+        series = [Series(lead, coeffs) for lead, coeffs in specs]
+        try:
+            expected = _staircase_by_ratios(series)
+        except InconclusiveError:
+            with pytest.raises(InconclusiveError):
+                staircase_valuations(series)
+            return
+        assert staircase_valuations(series) == expected
 
     def test_precision_cap_path(self, monkeypatch):
         import ramloci.curves as curves_mod

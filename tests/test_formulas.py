@@ -34,8 +34,9 @@ class TestClosedForms:
             assert di <= form.degree_bound[1]
 
     def test_declared_bound_is_enforced(self):
-        with pytest.raises(ValueError):
-            ClosedForm("too_tight", G**3, (2, 2), "control case")
+        with pytest.raises(ValueError, match="does not dominate"):
+            formulas._register("too_tight", G**9, "control case")
+        assert "too_tight" not in CLOSED_FORMS
 
     def test_counts_nonnegative_on_grid(self):
         for name in ("D_degree", "E_degree", "SW_degree", "E_plus_degree"):

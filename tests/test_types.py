@@ -1,0 +1,219 @@
+"""The package's value and record types, and what importing it costs.
+
+Records (order sequences, reports, closed forms) are ``NamedTuple``s;
+value types with arithmetic, validation or a cached hash are immutable
+``__slots__`` classes.  Neither kind needs ``dataclasses``, so a fresh
+interpreter that imports ramloci and runs a command never loads it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import ramloci
+from ramloci.bundles import ChernPoly
+from ramloci.chow import K1, ChowClass, ChowRing
+from ramloci.cli import parse_curve
+from ramloci.curves import (
+    HyperellipticModel,
+    MonomialBasis,
+    OrderSequence,
+    Place,
+    _exact_frame,
+    build_basis,
+    total_weight,
+)
+from ramloci.formulas import CLOSED_FORMS, run_suite
+from ramloci.numeric import UniPoly
+
+X = UniPoly.x()
+
+# Run in a fresh interpreter: import the package, then run `python -m
+# ramloci curve weights` through runpy in the same process, and print
+# which of the watched modules each step added to sys.modules.
+_FRESH = """
+import json, runpy, sys
+WATCHED = ("dataclasses", "inspect")
+before = set(sys.modules)
+import ramloci, ramloci.cli, ramloci.curves, ramloci.formulas
+after_import = set(sys.modules)
+sys.argv = ["ramloci", "curve", "weights", "y^2 = x^3 - x"]
+try:
+    runpy.run_module("ramloci", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+after_run = set(sys.modules)
+print(json.dumps({
+    "code": code,
+    "import": sorted(m for m in after_import - before if m in WATCHED),
+    "run": sorted(m for m in after_run - before if m in WATCHED),
+}))
+"""
+
+
+def test_fresh_import_and_command_load_no_dataclasses_or_inspect():
+    src = str(Path(ramloci.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *report_lines, last = proc.stdout.strip().splitlines()
+    assert any(line.startswith("(") for line in report_lines)  # the weights report
+    result = json.loads(last)
+    assert result == {"code": 0, "import": [], "run": []}
+
+
+E1 = HyperellipticModel.from_poly(X**3 - X)
+
+VALUES = {
+    "ChowClass": (ChowClass(cK1=1), "cK1"),
+    "ChowRing": (ChowRing(3), "genus"),
+    "ChernPoly": (ChernPoly(ChowRing(3), c1=K1), "c1"),
+    "Place": (Place.branch(0), "x"),
+    "HyperellipticModel": (E1, "f"),
+    "MonomialBasis": (build_basis(E1, 2), "i"),
+    "OrderSequence": (OrderSequence.from_orders([0, 1, 3]), "weight"),
+    "WeightReport": (total_weight(E1, 1), "total"),
+    "CertificationReport": (run_suite(name_filter="identity_a")[0], "verdict"),
+    "ClosedForm": (CLOSED_FORMS["D_degree"], "expr"),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_fields_cannot_be_assigned(name):
+    value, field = VALUES[name]
+    old = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, old)
+    with pytest.raises(AttributeError):
+        value.not_a_field = 1
+    assert getattr(value, field) is old
+
+
+@pytest.mark.parametrize(
+    "name", ["ChowClass", "ChowRing", "ChernPoly", "Place", "HyperellipticModel", "MonomialBasis"]
+)
+def test_value_types_keep_no_instance_dict(name):
+    value, field = VALUES[name]
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+
+
+class TestEqualityAndHash:
+    def test_places_built_apart_are_one_cache_key(self):
+        a, b = Place.ordinary(2, 3), Place.ordinary(Fraction(4, 2), 3)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert Place.branch(0) != Place.ordinary(0, 0) and Place.infinity() == Place.infinity()
+
+    def test_models_built_apart_are_one_cache_key(self):
+        a = HyperellipticModel.from_poly(X**3 + 1)
+        b = parse_curve("y^2 = x^3 + 1")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != E1
+
+    def test_equal_keys_hit_one_exact_frame_entry(self):
+        _exact_frame.cache_clear()
+        model_a, model_b = parse_curve("y^2 = x^3 + 1"), parse_curve("y^2 = x^3 + 1")
+        place_a, place_b = Place.ordinary(2, 3), Place("ordinary", Fraction(2), Fraction(3))
+        first = _exact_frame(model_a, place_a)
+        second = _exact_frame(model_b, place_b)
+        info = _exact_frame.cache_info()
+        assert second is first and (info.hits, info.misses) == (1, 1)
+
+    def test_value_types_compare_by_value(self):
+        assert ChowClass(1, 2, 3, 4, 5) == ChowClass(c0=1, cK1=2, cK2=3, cDelta=4, cPt=5)
+        assert hash(ChowClass(cK1=1)) == hash(K1)
+        assert ChowRing(2) == ChowRing(2) != ChowRing(3)
+        assert ChernPoly(ChowRing(2), c1=K1) == ChernPoly(ChowRing(2), c1=ChowClass(cK1=1))
+        assert build_basis(E1, 2) == MonomialBasis(E1, 2, build_basis(E1, 2).exponents)
+        assert len({build_basis(E1, 2), build_basis(parse_curve("y^2 = x^3 - x"), 2)}) == 1
+
+
+def test_from_poly_stays_settable_on_the_class(monkeypatch):
+    calls = []
+    real = HyperellipticModel.from_poly.__func__
+
+    def traced(cls, f):
+        calls.append(f)
+        return real(cls, f)
+
+    monkeypatch.setattr(HyperellipticModel, "from_poly", classmethod(traced))
+    assert parse_curve("y^2 = x^3 - x") == E1 and calls == [X**3 - X]
+
+
+class TestChowClass:
+    def test_is_not_a_tuple(self):
+        assert not isinstance(K1, tuple)
+        with pytest.raises(TypeError):
+            len(K1)
+
+    def test_right_scalar_only(self):
+        assert 2 * K1 == ChowClass(cK1=2)
+        with pytest.raises(TypeError):
+            ChowClass(cK1=1) * 2
+
+
+def test_chern_poly_checks_its_degrees():
+    with pytest.raises(ValueError):
+        ChernPoly(ChowRing(2), c1=ChowClass(c0=1))
+    with pytest.raises(ValueError):
+        ChernPoly(ChowRing(2), c2=K1)
+
+
+PUBLIC_NAMES = [
+    "ChernPoly",
+    "jet_chern",
+    "moving_locus_class",
+    "porteous_c2",
+    "pushforward_c1",
+    "special_ramification_class",
+    "ChowClass",
+    "ChowRing",
+    "chow_integrate",
+    "chow_mul",
+    "weierstrass_class",
+    "DX_OVER_Y",
+    "HyperellipticModel",
+    "MonomialBasis",
+    "OrderSequence",
+    "Place",
+    "WeightReport",
+    "affine_wronskian",
+    "build_basis",
+    "division_polynomial",
+    "expand_at",
+    "order_sequence_at",
+    "torsion_check",
+    "total_weight",
+    "CLOSED_FORMS",
+    "CertificationReport",
+    "ClosedForm",
+    "certify",
+    "run_suite",
+    "ParamPoly",
+    "Rational",
+    "Series",
+    "UniPoly",
+    "bareiss_det",
+    "poly_eval",
+    "series_invert",
+    "series_sqrt",
+    "parse_curve",
+    "__version__",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert ramloci.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(ramloci, name) is not None
