@@ -27,12 +27,13 @@ from .chow import (
     pushforward_c1,
     weierstrass_class,
 )
+from .numeric import Value
 
 
 _ZERO = ChowClass()
 
 
-class ChernPoly:
+class ChernPoly(Value):
     """Total Chern class 1 + c1 + c2 truncated in degree 2.
 
     ``c1`` holds only degree-1 coordinates and ``c2`` only the point
@@ -47,22 +48,7 @@ class ChernPoly:
             raise ValueError("c1 must be purely of degree 1")
         if c2.c0 or c2.cK1 or c2.cK2 or c2.cDelta:
             raise ValueError("c2 must be purely of degree 2")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ChernPoly is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if not isinstance(other, ChernPoly):
-            return NotImplemented
-        return (self.ring, self.c1, self.c2) == (other.ring, other.c1, other.c2)
-
-    def __hash__(self):
-        return hash((self.ring, self.c1, self.c2))
+        self._init(ring, c1, c2)
 
     def __repr__(self):
         return f"ChernPoly({self.ring!r}, c1={self.c1!r}, c2={self.c2!r})"

@@ -15,7 +15,7 @@ curve of genus g:
     Delta^2 = -(2g-2) pt
 
 Degree-3 parts vanish identically on a surface, so the type has no slot
-for them.  All values are immutable.
+for them.  ``ChowClass`` and ``ChowRing`` are immutable ``Value``s.
 
 The coefficients may come from any commutative ring that mixes with the
 integers: ``int``/``Fraction`` for a concrete genus, or ``ParamPoly``
@@ -28,36 +28,23 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any
 
+from .numeric import Value
+
 _HALF = Fraction(1, 2)
 
 
-class ChowClass:
+class ChowClass(Value):
     """Graded class c0*1 + cK1*K1 + cK2*K2 + cDelta*Delta + cPt*pt."""
 
     __slots__ = ("c0", "cK1", "cK2", "cDelta", "cPt")
 
     def __init__(self, c0: Any = 0, cK1: Any = 0, cK2: Any = 0, cDelta: Any = 0, cPt: Any = 0):
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "cK1", cK1)
-        object.__setattr__(self, "cK2", cK2)
-        object.__setattr__(self, "cDelta", cDelta)
-        object.__setattr__(self, "cPt", cPt)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ChowClass is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        return self.coords() == other.coords()
-
-    def __hash__(self):
-        return hash(self.coords())
+        self._init(c0, cK1, cK2, cDelta, cPt)
 
     def coords(self) -> tuple:
         return (self.c0, self.cK1, self.cK2, self.cDelta, self.cPt)
+
+    _key = coords
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         return ChowClass(*(a + b for a, b in zip(self.coords(), other.coords())))
@@ -96,7 +83,7 @@ DELTA = ChowClass(cDelta=1)
 PT = ChowClass(cPt=1)
 
 
-class ChowRing:
+class ChowRing(Value):
     """The intersection ring for a concrete genus g >= 1, or for the
     formal genus ``ParamPoly.g()``."""
 
@@ -105,20 +92,7 @@ class ChowRing:
     def __init__(self, genus: Any):
         if isinstance(genus, int) and genus < 1:
             raise ValueError("genus must be at least 1")
-        object.__setattr__(self, "genus", genus)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ChowRing is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if not isinstance(other, ChowRing):
-            return NotImplemented
-        return self.genus == other.genus
-
-    def __hash__(self):
-        return hash(self.genus)
+        self._init(genus)
 
     def __repr__(self):
         return f"ChowRing({self.genus!r})"

@@ -51,6 +51,7 @@ from .errors import (
 from .numeric import (
     Series,
     UniPoly,
+    Value,
     bareiss_det,
     poly_on_series,
     series_invert,
@@ -90,28 +91,15 @@ def start_precision(g: int, i: int) -> int:
 # Places and models
 
 
-class Place:
+class Place(Value):
     """A place of a model: its kind, with (x, y) at an affine place."""
 
     __slots__ = ("kind", "x", "y", "_hash")
 
     def __init__(self, kind: str, x: Fraction | None = None, y: Fraction | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        # computed once: the local-frame cache hashes the place on every
-        # lookup, which would hash its Fraction coordinates again
-        object.__setattr__(self, "_hash", hash((kind, x, y)))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Place is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if not isinstance(other, Place):
-            return NotImplemented
-        return (self.kind, self.x, self.y) == (other.kind, other.x, other.y)
+        # the hash is computed once: the local-frame cache hashes the place
+        # on every lookup, which would hash its Fraction coordinates again
+        self._init(kind, x, y, hash((kind, x, y)))
 
     def __hash__(self):
         return self._hash
@@ -137,34 +125,15 @@ class Place:
         return f"({self.x}, {self.y})"
 
 
-class HyperellipticModel:
+class HyperellipticModel(Value):
     """Validated odd hyperelliptic model y^2 = f(x)."""
 
     __slots__ = ("f", "genus", "branch_x", "splits", "_hash")
 
     def __init__(self, f: UniPoly, genus: int, branch_x: tuple[Fraction, ...], splits: bool):
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "branch_x", branch_x)
-        object.__setattr__(self, "splits", splits)
-        # computed once: the local-frame and division-polynomial caches
-        # hash the model on every lookup, and f determines the rest
-        object.__setattr__(self, "_hash", hash(f))
-
-    def __setattr__(self, *args):
-        raise AttributeError("HyperellipticModel is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if not isinstance(other, HyperellipticModel):
-            return NotImplemented
-        return (self.f, self.genus, self.branch_x, self.splits) == (
-            other.f,
-            other.genus,
-            other.branch_x,
-            other.splits,
-        )
+        # the hash is computed once: the local-frame and division-polynomial
+        # caches hash the model on every lookup, and f determines the rest
+        self._init(f, genus, branch_x, splits, hash(f))
 
     def __hash__(self):
         return self._hash
@@ -207,7 +176,7 @@ class HyperellipticModel:
 # Function field elements: num(x) y^k / den(x) with y^2 = f and k in {0, 1}
 
 
-class CurveFunction:
+class CurveFunction(Value):
     """Element num(x) y^k / den(x) of the function field of a model.
 
     Every function the engine builds has this shape, with k in {0, 1}:
@@ -226,32 +195,13 @@ class CurveFunction:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         scale = 1 / den.lead
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "num", num * scale if scale != 1 else num)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "den", den.monic())
-
-    def __setattr__(self, *args):
-        raise AttributeError("CurveFunction is immutable")
+        self._init(model, num * scale if scale != 1 else num, k, den.monic())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def __bool__(self):
         return not self.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, CurveFunction):
-            return NotImplemented
-        return (self.model, self.num, self.k, self.den) == (
-            other.model,
-            other.num,
-            other.k,
-            other.den,
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.k, self.den))
 
     def __repr__(self):
         body = f"({self.num})*y" if self.k else f"{self.num}"
@@ -264,7 +214,7 @@ class CurveFunction:
 # Monomial bases of the twisted canonical systems
 
 
-class MonomialBasis:
+class MonomialBasis(Value):
     """Monomials x^a y^b with 2a + (2g+1)b <= 2g+i-1, by pole order.
 
     Multiplying by dx/y (whose divisor is (2g-2) times the place at
@@ -276,22 +226,7 @@ class MonomialBasis:
     __slots__ = ("model", "i", "exponents")
 
     def __init__(self, model: HyperellipticModel, i: int, exponents: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "exponents", exponents)
-
-    def __setattr__(self, *args):
-        raise AttributeError("MonomialBasis is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if not isinstance(other, MonomialBasis):
-            return NotImplemented
-        return (self.model, self.i, self.exponents) == (other.model, other.i, other.exponents)
-
-    def __hash__(self):
-        return hash((self.model, self.i, self.exponents))
+        self._init(model, i, exponents)
 
     def __repr__(self):
         return f"MonomialBasis(i={self.i}, {self.monomial_names()})"
@@ -642,24 +577,17 @@ def ord_at_branch(model: HyperellipticModel, fn: CurveFunction, x0) -> int:
     return 2 * (fn.num.root_multiplicity(x0) - fn.den.root_multiplicity(x0)) + fn.k
 
 
-def _multiplicity_sum_on_branch(p: UniPoly, f: UniPoly) -> int:
-    """Sum over all roots of f (f squarefree) of the multiplicity of the
-    root in p: the degree that stripping f's factors removes from p."""
-    if p.is_zero():
-        # 0.gcd(f) is f, so stripping the zero polynomial never ends
-        raise ValueError("zero polynomial")
-    return p.degree - _strip_branch_factors(p, f).degree
-
-
 def branch_ord_total(model: HyperellipticModel, fn: CurveFunction) -> int:
     """Sum of the valuations of fn over all 2g+1 branch places, rational
     or not, using only gcd arithmetic over Q."""
     if fn.is_zero():
         raise ValueError("the zero function has no valuation")
     f = model.f
-    total = 2 * _multiplicity_sum_on_branch(fn.num, f) + fn.k * f.degree
+    # f is squarefree, so the degree that stripping f's factors removes
+    # from a polynomial is the sum of the multiplicities of f's roots in it
+    total = 2 * (fn.num.degree - _strip_branch_factors(fn.num, f).degree) + fn.k * f.degree
     if fn.den.degree > 0:
-        total -= 2 * _multiplicity_sum_on_branch(fn.den, f)
+        total -= 2 * (fn.den.degree - _strip_branch_factors(fn.den, f).degree)
     return total
 
 
@@ -801,6 +729,9 @@ def division_polynomial(model: HyperellipticModel, n: int) -> CurveFunction:
 
 def _strip_branch_factors(p: UniPoly, f: UniPoly) -> UniPoly:
     """Remove every irreducible factor shared with f."""
+    if p.is_zero():
+        # 0.gcd(f) is f, so stripping the zero polynomial never ends
+        raise ValueError("zero polynomial")
     q = p
     while True:
         shared = q.gcd(f)

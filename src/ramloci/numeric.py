@@ -41,7 +41,10 @@ with the integer numerators of the polynomial.  The Newton loops of
 denominator, removing its content at every step.
 
 All values are immutable after construction and safe to share between
-threads.
+threads and caches: ``ParamPoly``, ``UniPoly``, ``Series`` and every
+other value type of the package derive from ``Value``, which sets the
+fields once, makes assigning or deleting one raise, and compares and
+hashes by value.
 """
 
 from __future__ import annotations
@@ -60,6 +63,38 @@ from .errors import (
 Rational = Fraction
 
 _INF = math.inf
+
+
+class Value:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields in ``__slots__`` and sets them once with
+    ``_init``; afterwards assignment and deletion raise.  Two values are
+    equal iff they have the same type and equal ``_key()``, by default
+    the tuple of slot values, and hash as that key.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def rat_sqrt(q: Fraction):
@@ -128,7 +163,7 @@ def _homogeneous_value(nums, p: int, q: int) -> int:
 # ParamPoly: polynomials in the formal parameters (g, i)
 
 
-class ParamPoly:
+class ParamPoly(Value):
     """Polynomial in the formal parameters (g, i) with rational coefficients.
 
     Stored as sum(nums[(e_g, e_i)] g^e_g i^e_i) / den: a map from
@@ -156,9 +191,6 @@ class ParamPoly:
         prim, den = _primitive(vals, den)
         object.__setattr__(self, "nums", nums if prim is vals else dict(zip(nums, prim)))
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ParamPoly is immutable")
 
     @classmethod
     def _from_numerators(cls, nums, den: int) -> "ParamPoly":
@@ -326,7 +358,7 @@ def poly_eval(p: ParamPoly, g, i) -> Fraction:
 # UniPoly: dense univariate polynomials over Q
 
 
-class UniPoly:
+class UniPoly(Value):
     """Dense univariate polynomial over Q; the zero polynomial has no terms.
 
     Stored as sum(nums[k] x^k) / den: integer numerators over one positive
@@ -350,9 +382,6 @@ class UniPoly:
         nums, den = _primitive(nums[:hi], den)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("UniPoly is immutable")
 
     @classmethod
     def from_numerators(cls, nums, den: int = 1) -> "UniPoly":
@@ -491,6 +520,9 @@ class UniPoly:
         return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
+        # a constant hashes as its value, since it equals that int or Fraction
+        if len(self.nums) <= 1:
+            return hash(Fraction(self.nums[0] if self.nums else 0, self.den))
         return hash((self.nums, self.den))
 
     def derivative(self) -> "UniPoly":
@@ -671,7 +703,7 @@ def _integer_root_candidates(cs):
 # Series: truncated Laurent series
 
 
-class Series:
+class Series(Value):
     """Truncated Laurent series in a local parameter t.
 
     Stored as t^lead * sum(nums[k] t^k) / den: integer numerators over
@@ -706,9 +738,6 @@ class Series:
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "exact", bool(exact))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Series is immutable")
 
     # -- constructors
 
@@ -769,19 +798,6 @@ class Series:
         raise PrecisionExhaustedError(
             f"coefficient of t^{e} requested but series is only known below t^{self.known_up_to}"
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return (self.lead, self.nums, self.den, self.exact) == (
-            other.lead,
-            other.nums,
-            other.den,
-            other.exact,
-        )
-
-    def __hash__(self):
-        return hash((self.lead, self.nums, self.den, self.exact))
 
     # -- arithmetic
 

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ramloci
 from ramloci.cli import parse_curve
 from ramloci.curves import (
     DX_OVER_Y,
@@ -770,6 +775,29 @@ class TestWronskian:
             psi = division_polynomial(E1, n)
             per_root = sum(ord_at_branch(E1, psi, x0) for x0 in E1.branch_x)
             assert branch_ord_total(E1, psi) == per_root == (3 if n % 2 == 0 else 0)
+
+    def test_stripping_the_zero_polynomial_raises(self):
+        # 0.gcd(f) is f, so a strip loop without a guard never ends: the
+        # call runs in a subprocess first, so that a hang fails the test
+        code = (
+            "from ramloci.curves import _strip_branch_factors\n"
+            "from ramloci.numeric import UniPoly\n"
+            "try:\n"
+            "    _strip_branch_factors(UniPoly(), UniPoly([0, -1, 0, 1]))\n"
+            "except ValueError:\n"
+            "    print('ValueError')\n"
+        )
+        src = str(Path(ramloci.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=30,
+        )
+        assert proc.stdout.strip() == "ValueError", proc.stderr
+        with pytest.raises(ValueError):
+            _strip_branch_factors(UniPoly(), E1.f)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -1,9 +1,11 @@
 """The package's value and record types, and what importing it costs.
 
 Records (order sequences, reports, closed forms) are ``NamedTuple``s;
-value types with arithmetic, validation or a cached hash are immutable
-``__slots__`` classes.  Neither kind needs ``dataclasses``, so a fresh
-interpreter that imports ramloci and runs a command never loads it.
+value types with arithmetic, validation or a cached hash are
+``__slots__`` classes derived from ``numeric.Value``, which makes them
+immutable and compares and hashes them by value.  Neither kind needs
+``dataclasses``, so a fresh interpreter that imports ramloci and runs a
+command never loads it.
 """
 
 import json
@@ -25,11 +27,13 @@ from ramloci.curves import (
     OrderSequence,
     Place,
     _exact_frame,
+    affine_wronskian,
     build_basis,
+    division_polynomial,
     total_weight,
 )
 from ramloci.formulas import CLOSED_FORMS, run_suite
-from ramloci.numeric import UniPoly
+from ramloci.numeric import ParamPoly, Series, UniPoly, Value
 
 X = UniPoly.x()
 
@@ -74,13 +78,22 @@ def test_fresh_import_and_command_load_no_dataclasses_or_inspect():
 
 E1 = HyperellipticModel.from_poly(X**3 - X)
 
+# one sample and one field per value type; a new subclass of Value fails
+# the tests below until it has a sample here
 VALUES = {
+    "ParamPoly": (ParamPoly.g() + 1, "nums"),
+    "UniPoly": (X**2 - 1, "nums"),
+    "Series": (Series(1, [1, 2]), "lead"),
     "ChowClass": (ChowClass(cK1=1), "cK1"),
     "ChowRing": (ChowRing(3), "genus"),
     "ChernPoly": (ChernPoly(ChowRing(3), c1=K1), "c1"),
     "Place": (Place.branch(0), "x"),
     "HyperellipticModel": (E1, "f"),
     "MonomialBasis": (build_basis(E1, 2), "i"),
+    "CurveFunction": (affine_wronskian(E1, build_basis(E1, 2)), "num"),
+}
+VALUE_TYPES = sorted(cls.__name__ for cls in Value.__subclasses__())
+RECORDS = {
     "OrderSequence": (OrderSequence.from_orders([0, 1, 3]), "weight"),
     "WeightReport": (total_weight(E1, 1), "total"),
     "CertificationReport": (run_suite(name_filter="identity_a")[0], "verdict"),
@@ -88,25 +101,38 @@ VALUES = {
 }
 
 
-@pytest.mark.parametrize("name", VALUES)
+def test_every_value_type_has_a_sample():
+    assert VALUE_TYPES == sorted(VALUES)
+    for name, (value, _) in VALUES.items():
+        assert type(value).__name__ == name
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES + list(RECORDS))
 def test_fields_cannot_be_assigned(name):
-    value, field = VALUES[name]
+    value, field = VALUES[name] if name in VALUES else RECORDS[name]
     old = getattr(value, field)
     with pytest.raises(AttributeError):
         setattr(value, field, old)
     with pytest.raises(AttributeError):
         value.not_a_field = 1
+    with pytest.raises(AttributeError):
+        delattr(value, field)
     assert getattr(value, field) is old
 
 
-@pytest.mark.parametrize(
-    "name", ["ChowClass", "ChowRing", "ChernPoly", "Place", "HyperellipticModel", "MonomialBasis"]
-)
+@pytest.mark.parametrize("name", VALUE_TYPES)
 def test_value_types_keep_no_instance_dict(name):
-    value, field = VALUES[name]
+    value, _ = VALUES[name]
     assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        del value.not_a_field
+
+
+def test_a_cached_division_polynomial_keeps_its_fields():
+    psi = division_polynomial(E1, 3)
     with pytest.raises(AttributeError):
-        delattr(value, field)
+        del division_polynomial(E1, 3).num
+    assert division_polynomial(E1, 3) is psi and psi.num == 3 * X**4 - 6 * X**2 - 1
 
 
 class TestEqualityAndHash:
@@ -137,6 +163,11 @@ class TestEqualityAndHash:
         assert ChernPoly(ChowRing(2), c1=K1) == ChernPoly(ChowRing(2), c1=ChowClass(cK1=1))
         assert build_basis(E1, 2) == MonomialBasis(E1, 2, build_basis(E1, 2).exponents)
         assert len({build_basis(E1, 2), build_basis(parse_curve("y^2 = x^3 - x"), 2)}) == 1
+
+    @pytest.mark.parametrize("c", [0, 3, Fraction(1, 2)])
+    def test_constant_polynomials_hash_as_their_value(self, c):
+        for p in (UniPoly.const(c), ParamPoly.const(c)):
+            assert p == c and hash(p) == hash(c) and len({p, c}) == 1
 
 
 def test_from_poly_stays_settable_on_the_class(monkeypatch):
