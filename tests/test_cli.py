@@ -54,6 +54,18 @@ def run_module(*argv, timeout=120):
 
 DATA = Path(__file__).resolve().parent / "data"
 
+# verify golden file -> argv after "verify".
+VERIFY_GOLDEN = (
+    *((f"verify_default.{fmt}", ("--format", fmt)) for fmt in ("json", "tsv", "pretty")),
+    *(
+        (f"verify_g1-16_i0-16.{fmt}", ("--g", "1..16", "--i", "0..16", "--format", fmt))
+        for fmt in ("json", "tsv")
+    ),
+    ("verify_filter_SW_degree.json", ("--filter", "SW_degree", "--format", "json")),
+    ("verify_filter_star_degree.tsv", ("--filter", "*_degree", "--format", "tsv")),
+    ("verify_filter_DE_degree.pretty", ("--filter", "[DE]_degree", "--format", "pretty")),
+)
+
 # Curves of the benchmark workloads plus y^2 = x^3 - x: golden file -> argv.
 GOLDEN_CURVES = {
     "split-genus2": "y^2 = x^5 - 10*x^4 + 35*x^3 - 50*x^2 + 24*x",
@@ -342,22 +354,17 @@ class TestVerifyCommand:
             "closed_form": "1",
         }
 
-    @pytest.mark.parametrize(
-        "golden",
-        [
-            "verify_default.json",
-            "verify_default.tsv",
-            "verify_default.pretty",
-            "verify_g1-16_i0-16.json",
-            "verify_g1-16_i0-16.tsv",
-        ],
-    )
-    def test_output_matches_golden_bytes(self, golden):
-        stem, fmt = golden.rsplit(".", 1)
-        span = ("--g", "1..16", "--i", "0..16") if stem.endswith("i0-16") else ()
-        code, text = run_cli("verify", *span, "--format", fmt)
+    @pytest.mark.parametrize("golden, argv", VERIFY_GOLDEN, ids=[name for name, _ in VERIFY_GOLDEN])
+    def test_output_matches_golden_bytes(self, golden, argv):
+        code, text = run_cli("verify", *argv)
         assert code == 0
         assert text.encode() == (DATA / golden).read_bytes()
+
+    def test_no_match_error_matches_golden_bytes(self, capsys):
+        code, text = run_cli("verify", "--filter", "nomatch")
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.encode() == (DATA / "verify_filter_nomatch.err").read_bytes()
 
     @pytest.mark.parametrize("golden, argv", CURVE_GOLDEN, ids=[name for name, _ in CURVE_GOLDEN])
     def test_curve_output_matches_golden_bytes(self, golden, argv):
