@@ -108,9 +108,11 @@ def moving_locus_class(ring: ChowRing, i, jets: ChernPoly | None = None) -> Chow
     return porteous_c2(jets, pulled_back)
 
 
-def special_ramification_class(ring: ChowRing, i: int) -> ChowClass:
+def special_ramification_class(ring: ChowRing, i, w: ChowClass | None = None) -> ChowClass:
     """Class of the special-ramification locus: c2 of the rank-2 bundle
     of first-order relative jets with coefficients in the i-th
-    Weierstrass divisor, i.e. W * (K2 + W)."""
-    w = weierstrass_class(ring, i)
+    Weierstrass divisor, i.e. W * (K2 + W).  ``w`` is the caller's
+    weierstrass_class(ring, i), if it already has it."""
+    if w is None:
+        w = weierstrass_class(ring, i)
     return chow_mul(ring, w, K2 + w)

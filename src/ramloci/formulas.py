@@ -6,8 +6,9 @@ ring, whose genus is the formal parameter g and whose coefficients are
 polynomials in (g, i), so every engine quantity comes out as a
 ``ParamPoly`` too.  A ``certify`` run proves engine == closed form by
 exact equality of the two expanded polynomials.  Its report keeps the
-grid view: both polynomials evaluated at every grid point, with the
-points where they differ listed as failures.
+grid view: the values of both at every grid point, with the points
+where they differ listed as failures.  Equal polynomials have equal
+values, so the closed form is evaluated only when the verdict fails.
 """
 
 from __future__ import annotations
@@ -169,9 +170,11 @@ def certify(
     """Certify engine_fn == form as a polynomial identity in (g, i).
 
     The verdict is equality of the expanded polynomials; the grid only
-    sizes the report rows.  A range that does not exceed the declared
-    per-variable degree bound is still refused, as a configuration
-    error rather than a failed verdict.
+    sizes the report rows.  The engine polynomial is evaluated on the
+    grid once; a passing case reuses those values as the closed-form
+    column, and only a failing one evaluates the closed form too.  A
+    range that does not exceed the declared per-variable degree bound is
+    still refused, as a configuration error rather than a failed verdict.
     """
     g_points = sorted(set(g_range))
     i_points = sorted(set(i_range))
@@ -181,16 +184,17 @@ def certify(
             f"case {name}: grid {len(g_points)}x{len(i_points)} insufficient "
             f"for degree bound {form.degree_bound}"
         )
+    verdict = engine_fn == form.expr
+    engine_values = engine_fn.grid_values(g_points, i_points)
+    # equal polynomials agree at every point: only a failure evaluates
+    # the closed form, and only a failure has failure rows
+    closed_values = engine_values if verdict else form.expr.grid_values(g_points, i_points)
     grid = tuple(
         (g, i, engine_value, closed_value)
         for (g, i), engine_value, closed_value in zip(
-            product(g_points, i_points),
-            engine_fn.grid_values(g_points, i_points),
-            form.expr.grid_values(g_points, i_points),
+            product(g_points, i_points), engine_values, closed_values
         )
     )
-    # equal polynomials agree at every point: only a failure has rows
-    verdict = engine_fn == form.expr
     return CertificationReport(
         name=name,
         verdict=verdict,
@@ -220,7 +224,7 @@ def engine_polys() -> Mapping[str, ParamPoly]:
     w = weierstrass_class(ring, _I)
     jets = jet_chern(ring, _I, _G + _I)
     w_delta = chow_integrate(ring, chow_mul(ring, w, DELTA))
-    sw = chow_integrate(ring, special_ramification_class(ring, _I))
+    sw = chow_integrate(ring, special_ramification_class(ring, _I, w))
     e_plus = chow_integrate(ring, moving_locus_class(ring, _I, jets))
     # moving pairs off the diagonal: the Porteous count minus the weight
     # (g+1) carried by each of the transversal diagonal intersections
@@ -299,8 +303,13 @@ def run_suite(
     name_filter: str | None = None,
 ) -> list[CertificationReport]:
     """Run all (or the filtered) certification cases, serially and in
-    the canonical case order."""
-    names = [
-        n for n in CASES if name_filter is None or fnmatch.fnmatchcase(n, name_filter)
-    ]
+    the canonical case order.  A filter that is a case name selects that
+    case directly: no name holds a glob character, so it matches only
+    itself."""
+    if name_filter is None:
+        names = list(CASES)
+    elif name_filter in CASES:
+        names = [name_filter]
+    else:
+        names = [n for n in CASES if fnmatch.fnmatchcase(n, name_filter)]
     return [CASES[n](g_range, i_range) for n in names]

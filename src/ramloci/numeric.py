@@ -163,11 +163,26 @@ def _homogeneous_value(nums, p: int, q: int) -> int:
 # ParamPoly: polynomials in the formal parameters (g, i)
 
 
+class _Numerators(dict):
+    """The numerator map of a ``ParamPoly``: a dict whose item
+    assignment and deletion raise, so a shared polynomial cannot change.
+    A subclass rather than a mappingproxy over a dict, so a polynomial
+    still holds one map object and compares it with dict equality."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("ParamPoly numerators are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+
 class ParamPoly(Value):
     """Polynomial in the formal parameters (g, i) with rational coefficients.
 
-    Stored as sum(nums[(e_g, e_i)] g^e_g i^e_i) / den: a map from
-    exponent pairs to nonzero integer numerators over one positive
+    Stored as sum(nums[(e_g, e_i)] g^e_g i^e_i) / den: a read-only map
+    from exponent pairs to nonzero integer numerators over one positive
     denominator, with the common content of numerators and denominator
     removed.  The stored form is canonical, so two polynomials are equal
     iff their (nums, den) are.
@@ -189,7 +204,7 @@ class ParamPoly(Value):
         nums = {k: c for k, c in nums.items() if c}
         vals = list(nums.values())
         prim, den = _primitive(vals, den)
-        object.__setattr__(self, "nums", nums if prim is vals else dict(zip(nums, prim)))
+        object.__setattr__(self, "nums", _Numerators(nums if prim is vals else zip(nums, prim)))
         object.__setattr__(self, "den", den)
 
     @classmethod

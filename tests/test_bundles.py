@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from ramloci import bundles, formulas
 from ramloci.bundles import (
     ChernPoly,
     jet_chern,
@@ -112,6 +113,27 @@ class TestSpecialRamificationClass:
         ring = ChowRing(1)
         for i in range(6):
             assert chow_integrate(ring, special_ramification_class(ring, i)) == 0
+
+    def test_given_weierstrass_class_is_used(self):
+        for g, i in [(1, 0), (2, 1), (4, 3)]:
+            ring = ChowRing(g)
+            w = weierstrass_class(ring, i)
+            assert special_ramification_class(ring, i, w) == special_ramification_class(ring, i)
+        ring = ChowRing(3)
+        assert special_ramification_class(ring, 2, K1) == chow_mul(ring, K1, K2 + K1)
+
+    def test_engine_builds_the_weierstrass_class_once(self, monkeypatch):
+        calls = []
+        real = weierstrass_class
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(formulas, "weierstrass_class", counting)
+        monkeypatch.setattr(bundles, "weierstrass_class", counting)
+        formulas.engine_polys.__wrapped__()
+        assert len(calls) == 1
 
     def test_splitting_consistency_on_grid(self):
         # the two splitting identities hold pointwise for 1 <= g <= 8, 0 <= i <= 8

@@ -1,3 +1,4 @@
+import fnmatch
 import json
 from fractions import Fraction
 from types import SimpleNamespace
@@ -24,6 +25,20 @@ I = ParamPoly.i()
 
 def _sw_degree():
     return engine_polys()["SW_degree"]
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The polynomials ``ParamPoly.grid_values`` is called on."""
+    calls = []
+    real = ParamPoly.grid_values
+
+    def counting(poly, g_points, i_points):
+        calls.append(poly)
+        return real(poly, g_points, i_points)
+
+    monkeypatch.setattr(ParamPoly, "grid_values", counting)
+    return calls
 
 
 class TestClosedForms:
@@ -55,28 +70,27 @@ class TestClosedForms:
 
 
 class TestCertify:
-    def test_sw_degree_passes(self):
-        report = certify(
-            "SW_degree",
-            _sw_degree(),
-            CLOSED_FORMS["SW_degree"],
-            range(1, 10),
-            range(0, 9),
-        )
+    def test_sw_degree_passes(self, evaluated):
+        form = CLOSED_FORMS["SW_degree"]
+        report = certify("SW_degree", _sw_degree(), form, range(1, 10), range(0, 9))
         assert report.verdict
         assert report.grid_size == (9, 9)
         assert not report.failures
         assert len(report.grid) == 81
+        # a passing case evaluates only the engine polynomial
+        assert evaluated == [_sw_degree()]
+        closed = [poly_eval(form.expr, g, i) for g in range(1, 10) for i in range(0, 9)]
+        assert [row[2] for row in report.grid] == [row[3] for row in report.grid] == closed
 
-    def test_broken_form_fails_at_origin_corner(self):
+    def test_broken_form_fails_at_origin_corner(self, evaluated):
         broken = ClosedForm(
             "broken", CLOSED_FORMS["SW_degree"].expr + 1, (8, 8), "control case"
         )
         report = certify("broken", _sw_degree(), broken, range(1, 10), range(0, 9))
         assert not report.verdict
-        g, i, engine, closed = report.failures[0]
-        assert (g, i) == (1, 0)
-        assert engine == 0 and closed == 1
+        assert len(evaluated) == 2
+        assert report.failures[0] == (1, 0, 0, 1)
+        assert report.failures == report.grid
 
     def test_insufficient_grid_refused(self):
         with pytest.raises(GridInsufficientError):
@@ -132,6 +146,10 @@ class TestIdentitySuite:
             assert poly_eval(ex6b0, 1, i) == 0
 
 
+FILTERS = [None, *CASES, "W_*", "*_degree", "[DE]_degree", "?_degree", "identity_?"]
+FILTERS += ["w_class_k1", "nomatch"]
+
+
 class TestSuiteRunner:
     def test_full_suite_passes_in_canonical_order(self):
         reports = run_suite()
@@ -145,6 +163,22 @@ class TestSuiteRunner:
     def test_glob_filter(self):
         reports = run_suite(name_filter="identity_*")
         assert [r.name for r in reports] == ["identity_a", "identity_b"]
+
+    def test_case_names_hold_no_glob_character(self):
+        assert not [n for n in CASES if set(n) & set("*?[")]
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_case_name_selects_without_glob_matching(self, name, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fnmatchcase called")
+
+        monkeypatch.setattr(fnmatch, "fnmatchcase", refuse)
+        assert [r.name for r in run_suite(name_filter=name)] == [name]
+
+    @pytest.mark.parametrize("pattern", FILTERS)
+    def test_selection_matches_fnmatchcase(self, pattern):
+        expected = [n for n in CASES if pattern is None or fnmatch.fnmatchcase(n, pattern)]
+        assert [r.name for r in run_suite(name_filter=pattern)] == expected
 
     def test_report_json_shape(self):
         report = run_suite(name_filter="E_degree")[0]

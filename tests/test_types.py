@@ -32,7 +32,7 @@ from ramloci.curves import (
     division_polynomial,
     total_weight,
 )
-from ramloci.formulas import CLOSED_FORMS, run_suite
+from ramloci.formulas import CLOSED_FORMS, engine_polys, run_suite
 from ramloci.numeric import ParamPoly, Series, UniPoly, Value
 
 X = UniPoly.x()
@@ -133,6 +133,31 @@ def test_a_cached_division_polynomial_keeps_its_fields():
     with pytest.raises(AttributeError):
         del division_polynomial(E1, 3).num
     assert division_polynomial(E1, 3) is psi and psi.num == 3 * X**4 - 6 * X**2 - 1
+
+
+@pytest.mark.parametrize("source", ["closed form", "engine"])
+def test_param_poly_numerators_are_read_only(source):
+    poly = CLOSED_FORMS["D_degree"].expr if source == "closed form" else engine_polys()["D_degree"]
+    nums = poly.nums
+    before, key = dict(nums), next(iter(nums))
+    with pytest.raises(TypeError):
+        nums[(0, 0)] = 7
+    with pytest.raises(TypeError):
+        del nums[key]
+    for mutate in (
+        nums.clear,
+        nums.popitem,
+        lambda: nums.pop(key),
+        lambda: nums.update({}),
+        lambda: nums.setdefault((0, 0), 7),
+    ):
+        with pytest.raises(TypeError):
+            mutate()
+    with pytest.raises(TypeError):
+        nums |= {}
+    assert poly.nums is nums and dict(nums) == before
+    (report,) = run_suite(name_filter="D_degree")
+    assert report.verdict and not report.failures
 
 
 class TestEqualityAndHash:
