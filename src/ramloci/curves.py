@@ -13,13 +13,15 @@ exact integer data:
 
 so x and dx/dt are exact everywhere, and y is one square root of the
 exact series f(x(t)), with the sign of y0 at an ordinary place and
-leading term t at a branch place.  Order sequences expand y times the
-sections, x^a y^b dx/dt, as two ladders from dx/dt and y dx/dt, each
-multiplied by x once per rung: the b = 0 ladder is exact, and every
-order moves by the same v(y).
+leading term t at a branch place.
 
-Weights at located places come from order sequences (valuation-staircase
-elimination on expansion coefficients); the weight carried by places the
+Located order sequences, at rational branch places and at infinity, are
+closed forms in the basis exponents, cross-checked against the
+wronskian.  The series ladder expands y times the sections, x^a y^b
+dx/dt, as two ladders from dx/dt and y dx/dt, each multiplied by the
+exact x once per rung, and reads the orders off by valuation-staircase
+elimination; it serves ordinary places (``curve orders --place``) and is
+the tests' oracle for the closed forms.  The weight carried by places the
 engine cannot expand exactly (ordinary points with irrational
 coordinates, branch points over irrational roots of f) is recovered
 without any root-finding from the valuations of the affine wronskian,
@@ -81,7 +83,7 @@ def start_precision(g: int, i: int) -> int:
     Every vanishing order of the system is at most its degree d, so the
     staircase needs each series known through t^d, and y times each
     section, moved back by v(y), is known below t^prec.  The loop in
-    ``order_sequence_at`` keeps any start correct; this one never needs
+    ``_series_orders`` keeps any start correct; this one never needs
     a doubling, since each nonzero section has an order at most d.
     """
     return 2 * g + i
@@ -409,28 +411,51 @@ def staircase_valuations(series_list) -> list[int]:
         work[clash[1]] = other.scale(p0 // common) + pivot.scale(-(o0 // common))
 
 
-def order_sequence_at(
-    model: HyperellipticModel,
-    basis: MonomialBasis,
-    place: Place,
-) -> OrderSequence:
+def order_sequence_at(model: HyperellipticModel, basis: MonomialBasis, place: Place) -> OrderSequence:
     """Vanishing orders of the twisted canonical system at the place.
 
-    Multiplying every section x^a y^b dx/y by y moves every order by
-    v(y): 0 at an ordinary place, 1 at a branch place, -(2g+1) at
-    infinity.  The products x^a y^b dx/dt, in the pole order of the
-    basis, are two ladders from dx/dt and y dx/dt, each rung the one
-    below times the exact x.  The b = 0 ladder is exact, so y is only
-    expanded when the basis has a y-monomial, and no series is inverted.
-    The orders are the staircase valuations minus v(y), plus the twist
-    i+1 at infinity.
+    At a located place they are closed forms in the basis exponents,
+    which ``total_weight`` cross-checks against the wronskian: at a
+    branch place x^a has the even orders 0..2A and y x^a the odd ones,
+    so nothing cancels and the orders are sorted{2a + b}; at infinity
+    they are the degree d = 2g-1+i minus the pole orders, which are
+    distinct.  An ordinary place goes through the series ladder,
+    ``_series_orders``, which the tests hold against both closed forms.
+    """
+    if basis.model != model:
+        raise ValueError("the basis was built for another model")
+    _exact_frame(model, place)  # refuses a place off the curve
+    g, d = model.genus, 2 * model.genus - 1 + basis.i
+    if place.kind == BRANCH:
+        seq = OrderSequence.from_orders(sorted(2 * a + b for a, b in basis.exponents))
+    elif place.kind == INFINITY:
+        seq = OrderSequence.from_orders(sorted(d - p for p in basis.pole_orders))
+    else:
+        seq = _series_orders(model, basis, place)
+    orders = seq.orders
+    if len(orders) != g + basis.i or orders[0] < 0 or orders[-1] > d:
+        raise InternalCheckError(
+            f"order sequence {list(orders)} at {place} is out of range for a "
+            f"system of rank {g + basis.i - 1} and degree {d}"
+        )
+    return seq
 
-    y is expanded from ``start_precision(g, i)``, which only decides how
-    much work is done.  Correctness comes from the doubling loop: every
-    reported order is the valuation of a nonzero coefficient known
-    exactly, and when a combination vanishes within its known window the
-    precision doubles.  Reaching the cap is an explicit error, never a
-    wrong answer.
+
+def _series_orders(model: HyperellipticModel, basis: MonomialBasis, place: Place) -> OrderSequence:
+    """Vanishing orders at any place, by expansion and elimination.
+
+    y times each section x^a y^b dx/y is x^a y^b dx/dt.  In the pole
+    order of the basis these are two ladders from dx/dt and y dx/dt,
+    each rung the one below times the exact x, so y is expanded only
+    when the basis has a y-monomial and no series is inverted.  The
+    orders are the staircase valuations minus v(y), which is 0, 1 or
+    -(2g+1) at an ordinary place, a branch place or infinity, plus the
+    twist i+1 at infinity.
+
+    y is expanded from ``start_precision(g, i)``, which sets only the
+    cost: when a combination vanishes within its known window the
+    precision doubles, and reaching the cap is an explicit error, never
+    a wrong answer.
     """
     g, i = model.genus, basis.i
     x, dxdt = _exact_frame(model, place)
@@ -442,8 +467,7 @@ def order_sequence_at(
             for a, b in basis.exponents:
                 rung[b] = x * rung[b] if a else (_local_frame(model, place, prec) * dxdt if b else dxdt)
                 sers.append(rung[b])
-            orders = [v + shift for v in staircase_valuations(sers)]
-            break
+            return OrderSequence.from_orders([v + shift for v in staircase_valuations(sers)])
         except InconclusiveError:
             prec *= 2
             if prec > PRECISION_CAP:
@@ -451,12 +475,6 @@ def order_sequence_at(
                     f"order sequence at {place} inconclusive at the "
                     f"precision cap {PRECISION_CAP}"
                 ) from None
-    if len(orders) != g + i or orders[0] < 0 or orders[-1] > 2 * g - 1 + i:
-        raise InternalCheckError(
-            f"order sequence {orders} at {place} is out of range for a "
-            f"system of rank {g + i - 1} and degree {2 * g - 1 + i}"
-        )
-    return OrderSequence.from_orders(orders)
 
 
 # ---------------------------------------------------------------------------
@@ -628,30 +646,19 @@ def total_weight(model: HyperellipticModel, i: int) -> WeightReport:
     basis = build_basis(model, i)
     wron = _wronskian_parts(model, basis)
 
+    ord_inf = wron.infinity_ord(model)
+    located = [(Place.branch(x0), wron.branch_ord(x0) + shift) for x0 in model.branch_x]
+    located.append((Place.infinity(), (g + i) * (2 * g + i - 1) - 3 * shift + ord_inf))
     entries = []
-    located_branch = 0
-    for x0 in model.branch_x:
-        place = Place.branch(x0)
+    for place, expected in located:
         seq = order_sequence_at(model, basis, place)
-        expected = wron.branch_ord(x0) + shift
         if seq.weight != expected:
             raise InternalCheckError(
-                f"branch weight at {place}: series gave {seq.weight}, "
+                f"weight at {place}: order sequence gave {seq.weight}, "
                 f"wronskian bookkeeping gave {expected}"
             )
         entries.append((place, seq))
-        located_branch += seq.weight
-
-    inf = Place.infinity()
-    seq_inf = order_sequence_at(model, basis, inf)
-    ord_inf = wron.infinity_ord(model)
-    expected_inf = (g + i) * (2 * g + i - 1) - 3 * shift + ord_inf
-    if seq_inf.weight != expected_inf:
-        raise InternalCheckError(
-            f"weight at infinity: series gave {seq_inf.weight}, "
-            f"wronskian bookkeeping gave {expected_inf}"
-        )
-    entries.append((inf, seq_inf))
+    located_branch = sum(seq.weight for _, seq in entries[:-1])
 
     branch_ords = wron.branch_total(model.f, _strip_branch_factors(wron.det, model.f))
     branch_weight_all = branch_ords + (2 * g + 1) * shift
@@ -663,7 +670,7 @@ def total_weight(model: HyperellipticModel, i: int) -> WeightReport:
             f"ordinary {remainder_ordinary}"
         )
     remainder = remainder_branch + remainder_ordinary
-    total = located_branch + seq_inf.weight + remainder
+    total = sum(seq.weight for _, seq in entries) + remainder
     return WeightReport(
         i=i,
         entries=tuple(entries),

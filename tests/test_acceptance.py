@@ -14,6 +14,7 @@ from ramloci.chow import DELTA, ChowClass, ChowRing, chow_integrate, chow_mul
 from ramloci.cli import parse_curve
 from ramloci.curves import (
     Place,
+    _series_orders,
     build_basis,
     order_sequence_at,
     staircase_valuations,
@@ -232,7 +233,7 @@ def test_c8_property_suites():
             )
             curves_mod.PRECISION_CAP = 64
             with pytest.raises(InconclusiveError, match="precision cap"):
-                order_sequence_at(model, build_basis(model, 1), Place.infinity())
+                _series_orders(model, build_basis(model, 1), Place.infinity())
         finally:
             curves_mod.staircase_valuations, curves_mod.PRECISION_CAP = original
     _report("C8", "property suites and error paths", t)

@@ -1,4 +1,6 @@
+import io
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,14 +11,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ramloci
-from ramloci.cli import parse_curve
+from ramloci.cli import main, parse_curve
 from ramloci.curves import (
     DX_OVER_Y,
     CurveFunction,
     HyperellipticModel,
+    MonomialBasis,
     Place,
     _exact_frame,
     _local_frame,
+    _series_orders,
     _strip_branch_factors,
     _wronskian_parts,
     affine_wronskian,
@@ -36,6 +40,7 @@ from ramloci.errors import (
     CurveValidationError,
     EvenDegreeError,
     InconclusiveError,
+    InternalCheckError,
     NotMonicError,
     NotOnCurveError,
     NotSquarefreeError,
@@ -266,7 +271,7 @@ PRECISION_PLACES = [(G2, Place.branch(x0)) for x0 in range(5)] + [
 
 
 def _spy_y_precision(monkeypatch):
-    """Record the precision of every y expansion order_sequence_at asks
+    """Record the precision of every y expansion _series_orders asks
     of the local frame."""
     import ramloci.curves as curves_mod
 
@@ -291,7 +296,7 @@ class TestPrecision:
         import ramloci.curves as curves_mod
 
         default = [
-            order_sequence_at(model, build_basis(model, i), place).orders
+            _series_orders(model, build_basis(model, i), place).orders
             for model, place in PRECISION_PLACES
         ]
         seen = _spy_y_precision(monkeypatch)
@@ -299,7 +304,7 @@ class TestPrecision:
         for (model, place), orders in zip(PRECISION_PLACES, default):
             basis = build_basis(model, i)
             seen.clear()
-            assert order_sequence_at(model, basis, place).orders == orders
+            assert _series_orders(model, basis, place).orders == orders
             if not _y_monomials(basis):
                 # the x-ladder is exact: no precision is ever requested
                 assert seen == []
@@ -340,7 +345,7 @@ class TestPrecision:
         _local_frame.cache_clear()
         for i in (0, 2):
             for model, place in PRECISION_PLACES:
-                order_sequence_at(model, build_basis(model, i), place)
+                _series_orders(model, build_basis(model, i), place)
         assert len(seen) > len(PRECISION_PLACES)
         assert collections.Counter(checked) == collections.Counter(PRECISION_PLACES)
         # a place off the curve raises on every call and is never cached
@@ -351,6 +356,7 @@ class TestPrecision:
         for _ in range(2):
             for call in (
                 lambda: expand_at(E2, DX_OVER_Y, bad, 8),
+                lambda: _series_orders(E2, build_basis(E2, 0), bad),
                 lambda: order_sequence_at(E2, build_basis(E2, 0), bad),
             ):
                 with pytest.raises(NotOnCurveError) as raised:
@@ -398,7 +404,7 @@ class TestPrecision:
         for model, place in PRECISION_PLACES:
             basis = build_basis(model, i)
             seen.clear()
-            order_sequence_at(model, basis, place)
+            _series_orders(model, basis, place)
             if _y_monomials(basis):
                 assert seen == [start_precision(model.genus, i)]
             else:
@@ -406,7 +412,7 @@ class TestPrecision:
 
 
 class TestSectionLadder:
-    """order_sequence_at builds y times the sections x^a y^b dx/y as
+    """_series_orders builds y times the sections x^a y^b dx/y as
     x-ladders over the local frame; the reference expands each monomial
     by Horner's rule and multiplies by dx/y."""
 
@@ -426,7 +432,7 @@ class TestSectionLadder:
             basis = build_basis(model, i)
             prec = start_precision(model.genus, i)
             seen.clear()
-            order_sequence_at(model, basis, place)
+            _series_orders(model, basis, place)
             [rungs] = seen
             reference = monomial_sections(model, basis, place, prec)
             assert len(rungs) == len(reference) == len(basis)
@@ -467,8 +473,9 @@ class TestSectionLadder:
         basis = build_basis(model, i)
         places = [Place.branch(x0) for x0 in model.branch_x] + [Place.infinity()]
         for place in places:
-            orders = order_sequence_at(model, basis, place).orders
+            orders = _series_orders(model, basis, place).orders
             assert orders == order_sequence_by_monomials(model, basis, place), place
+            assert order_sequence_at(model, basis, place).orders == orders, place
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -492,8 +499,9 @@ class TestSectionLadder:
             assume(False)
         basis = build_basis(model, i)
         for place in (Place.ordinary(x0, y0), Place.ordinary(x0, -y0)):
-            orders = order_sequence_at(model, basis, place).orders
+            orders = _series_orders(model, basis, place).orders
             assert orders == order_sequence_by_monomials(model, basis, place), place
+            assert order_sequence_at(model, basis, place).orders == orders, place
 
     @pytest.mark.parametrize("i", [0, 1])
     def test_no_root_and_no_inverse_without_a_y_monomial(self, monkeypatch, i):
@@ -502,12 +510,12 @@ class TestSectionLadder:
         import ramloci.curves as curves_mod
 
         expected = {
-            (model, place): order_sequence_at(model, build_basis(model, i), place)
+            (model, place): _series_orders(model, build_basis(model, i), place)
             for model, place in PRECISION_PLACES
         }
 
         def refuse(*args, **kwargs):
-            raise AssertionError("order_sequence_at expanded y or inverted a series")
+            raise AssertionError("_series_orders expanded y or inverted a series")
 
         for name in ("series_sqrt", "_solve_branch_parameter", "series_invert"):
             monkeypatch.setattr(curves_mod, name, refuse)
@@ -522,13 +530,13 @@ class TestSectionLadder:
         _exact_frame.cache_clear()
         _local_frame.cache_clear()
         for (model, place), seq in expected.items():
-            assert order_sequence_at(model, build_basis(model, i), place) == seq
+            assert _series_orders(model, build_basis(model, i), place) == seq
         assert seen and all(s.exact for s in seen)
 
     def test_builds_no_curve_function(self, monkeypatch):
         # a regression guard: the sections are series products only
         expected = {
-            (model, place, i): order_sequence_at(model, build_basis(model, i), place)
+            (model, place, i): _series_orders(model, build_basis(model, i), place)
             for model, place in [
                 (G2, Place.branch(1)),
                 (E2, Place.ordinary(2, 3)),
@@ -538,12 +546,100 @@ class TestSectionLadder:
         }
 
         def refuse(self, *args):
-            raise AssertionError("order_sequence_at built a CurveFunction")
+            raise AssertionError("_series_orders built a CurveFunction")
 
         monkeypatch.setattr(CurveFunction, "__init__", refuse)
         _local_frame.cache_clear()
         for (model, place, i), seq in expected.items():
-            assert order_sequence_at(model, build_basis(model, i), place) == seq
+            assert _series_orders(model, build_basis(model, i), place) == seq
+
+
+class TestClosedForms:
+    """order_sequence_at reads the orders at rational branch places and
+    at infinity off closed forms in the basis exponents; the series
+    ladder, _series_orders, is their oracle."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        g=st.integers(1, 4),
+        roots=st.lists(st.integers(-4, 4), max_size=9, unique=True),
+        coeffs=st.lists(st.integers(-9, 9), min_size=9, max_size=9),
+        i=st.integers(0, 12),
+    )
+    def test_closed_forms_match_series(self, g, roots, coeffs, i):
+        """Random odd monic squarefree f of genus 1..4, split over small
+        integer roots times a random monic factor."""
+        degree = 2 * g + 1
+        roots = roots[:degree]
+        f = UniPoly(coeffs[: degree - len(roots)] + [1])
+        for r in roots:
+            f = f * (X - r)
+        try:
+            model = HyperellipticModel.from_poly(f)
+        except NotSquarefreeError:
+            assume(False)
+        basis = build_basis(model, i)
+        for place in [Place.branch(x0) for x0 in model.branch_x] + [Place.infinity()]:
+            assert _series_orders(model, basis, place) == order_sequence_at(model, basis, place), place
+
+    def test_weights_expand_no_series(self, monkeypatch):
+        # a regression guard: total_weight and curve weights read located
+        # orders off the closed forms, with no local frame and no staircase
+        import ramloci.curves as curves_mod
+
+        cases = [(model, i) for model in (E1, E2, G2, G3) for i in range(9)]
+        expected = [total_weight(model, i) for model, i in cases]
+        split = "y^2 = x^5 - 10*x^4 + 35*x^3 - 50*x^2 + 24*x"
+        argv = ["curve", "weights", split, "--i", "4", "--format", "json"]
+        plain = io.StringIO()
+        assert main(argv, out=plain) == 0
+
+        def refuse(*args):
+            raise AssertionError("the weights expanded a series")
+
+        monkeypatch.setattr(curves_mod, "_local_frame", refuse)
+        monkeypatch.setattr(curves_mod, "staircase_valuations", refuse)
+        assert [total_weight(model, i) for model, i in cases] == expected
+        patched = io.StringIO()
+        assert main(argv, out=patched) == 0
+        assert patched.getvalue() == plain.getvalue()
+
+    @pytest.mark.parametrize(
+        "model, factor, where",
+        [(G2, X - 1, "(1, 0)"), (E2, X - 5, "infinity")],
+    )
+    def test_wronskian_cross_check_catches_a_wrong_determinant(self, monkeypatch, model, factor, where):
+        # one extra root at a branch place, or one extra degree, must not
+        # pass as the weight of a located place
+        import ramloci.curves as curves_mod
+
+        real = curves_mod._wronskian_parts
+
+        def wrong(model, basis):
+            det, k, e, c = real(model, basis)
+            return curves_mod._WronskianParts(det * factor, k, e, c)
+
+        monkeypatch.setattr(curves_mod, "_wronskian_parts", wrong)
+        with pytest.raises(InternalCheckError, match=rf"weight at {re.escape(where)}: order sequence gave"):
+            total_weight(model, 2)
+
+    def test_basis_of_another_model_is_a_caller_error(self):
+        basis = build_basis(E1, 3)
+        for place in (Place.branch(0), Place.infinity(), Place.ordinary(5, 10)):
+            with pytest.raises(ValueError, match="another model"):
+                order_sequence_at(G2, basis, place)
+        # an equal model built again is the same model
+        again = HyperellipticModel.from_poly(G2.f)
+        assert order_sequence_at(again, build_basis(G2, 3), Place.branch(0)).orders == (0, 1, 2, 4, 6)
+
+    def test_place_and_range_checks_hold_on_the_closed_forms(self):
+        with pytest.raises(NotOnCurveError):
+            order_sequence_at(E1, build_basis(E1, 2), Place.branch(2))
+        # a basis whose exponents leave the system's degree is an engine bug
+        bad = MonomialBasis(G2, 0, ((0, 0), (5, 0)))
+        for place in (Place.branch(1), Place.infinity()):
+            with pytest.raises(InternalCheckError, match="out of range"):
+                order_sequence_at(G2, bad, place)
 
 
 def _staircase_by_ratios(series_list):
@@ -598,8 +694,8 @@ class TestStaircase:
 
         monkeypatch.setattr(curves_mod, "staircase_valuations", spy)
         for model in (G2, G3):
-            order_sequence_at(model, build_basis(model, 4), Place.infinity())
-        order_sequence_at(G2, build_basis(G2, 4), Place.branch(2))
+            _series_orders(model, build_basis(model, 4), Place.infinity())
+        _series_orders(G2, build_basis(G2, 4), Place.branch(2))
         expected = [real(sers) for sers in seen]
 
         def no_fractions(*args):
@@ -640,7 +736,7 @@ class TestStaircase:
         monkeypatch.setattr(curves_mod, "staircase_valuations", always_inconclusive)
         monkeypatch.setattr(curves_mod, "PRECISION_CAP", 64)
         with pytest.raises(InconclusiveError, match="precision cap"):
-            order_sequence_at(E1, build_basis(E1, 1), Place.infinity())
+            _series_orders(E1, build_basis(E1, 1), Place.infinity())
 
 
 def _full_matrix_wronskian(model, basis):
