@@ -39,6 +39,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import _kernels
 from .errors import (
     CurveValidationError,
     DegenerateSystemError,
@@ -424,14 +425,14 @@ def order_sequence_at(model: HyperellipticModel, basis: MonomialBasis, place: Pl
     """
     if basis.model != model:
         raise ValueError("the basis was built for another model")
-    _exact_frame(model, place)  # refuses a place off the curve
     g, d = model.genus, 2 * model.genus - 1 + basis.i
     if place.kind == BRANCH:
+        model.check_place(place)  # refuses an x0 that is not a root of f
         seq = OrderSequence.from_orders(sorted(2 * a + b for a, b in basis.exponents))
     elif place.kind == INFINITY:
         seq = OrderSequence.from_orders(sorted(d - p for p in basis.pole_orders))
     else:
-        seq = _series_orders(model, basis, place)
+        seq = _series_orders(model, basis, place)  # checks the place in _exact_frame
     orders = seq.orders
     if len(orders) != g + basis.i or orders[0] < 0 or orders[-1] > d:
         raise InternalCheckError(
@@ -527,11 +528,17 @@ def _wronskian_parts(model: HyperellipticModel, basis: MonomialBasis) -> _Wronsk
     where Y is the k x k block of y-columns on rows A+1..n-1.  Only Y
     goes through fraction-free Bareiss, and (2f)^(A(A+1)/2) cancels
     against the denominator by exponent arithmetic, as does f^(k//2).
+
+    The recursion runs on integer lists: with 2f = F2/D and f' = F1/D
+    over Z, S_m = D^m R_m has S_{m+1} = F2 S_m' + (1 - 2m) F1 S_m, and
+    only the k x k entries of Y are wrapped, as S_m / D^m.
     """
     n = len(basis)
     f = model.f
     fp = f.derivative()
     two_f = 2 * f
+    D = math.lcm(two_f.den, fp.den)
+    F2, F1 = ([c * (D // p.den) for c in p.nums] for p in (two_f, fp))
     x_count = n - sum(b for _, b in basis.exponents)
     y_columns = []
     sign = 1
@@ -540,10 +547,15 @@ def _wronskian_parts(model: HyperellipticModel, basis: MonomialBasis) -> _Wronsk
             # every y-column before this x-column is one inversion
             sign *= (-1) ** len(y_columns)
             continue
-        col = [UniPoly.x() ** a_exp]
-        for m in range(n - 1):
-            col.append(two_f * col[-1].derivative() + (1 - 2 * m) * fp * col[-1])
-        y_columns.append(col[x_count:])
+        s, col = [0] * a_exp + [1], []
+        for m in range(n):
+            if m >= x_count:
+                col.append(UniPoly.from_numerators(s, D**m))
+            if m < n - 1:
+                n_out = len(s) + len(F2) - 2
+                ds = _kernels.convolve(F2, [j * c for j, c in enumerate(s)][1:], n_out)
+                s = [u + (1 - 2 * m) * v for u, v in zip(ds, _kernels.convolve(F1, s, n_out))]
+        y_columns.append(col)
     k = len(y_columns)
     det = UniPoly.const(1)
     if k:

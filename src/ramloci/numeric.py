@@ -34,7 +34,9 @@ division (``exact_div``, ``divmod``, the pseudo-remainders of ``gcd``
 and the division by q x - p in ``root_multiplicity``) is one integer
 long-division loop, ``_long_div``; exact division divides by the
 primitive part of the divisor, which stays over Z by Gauss's lemma, so
-fraction-free Bareiss runs over Z[x].  ``poly_on_series`` (the inner
+fraction-free Bareiss runs over Z[x].  ``gcd`` runs its pseudo-remainder
+sequence only when the integer gcd of the inputs' values at a large power
+of two does not prove them coprime.  ``poly_on_series`` (the inner
 loop of every local expansion) is Horner's rule on ``Series`` objects
 with the integer numerators of the polynomial.  The Newton loops of
 ``series_invert`` and ``series_sqrt`` carry one integer list over one
@@ -157,6 +159,28 @@ def _homogeneous_value(nums, p: int, q: int) -> int:
         acc = acc * p + c * qk
         qk *= q
     return acc
+
+
+def _at_power_of_two(nums, k: int) -> int:
+    """The integer polynomial ``nums`` at 2^k: Horner's rule on shifts."""
+    acc = 0
+    for c in reversed(nums):
+        acc = (acc << k) + c
+    return acc
+
+
+def _certified_coprime(a, b) -> bool:
+    """True only if the primitive integer polynomials a and b (nonzero
+    lists) are coprime; False proves nothing.
+
+    A common factor of degree d >= 1 has a primitive multiple G in Z[x]
+    dividing a and b (Gauss), so ||G||_1 <= M = 2^deg P ||P||_2 for either
+    input P (Mignotte, Landau).  For xi = 2^k > 2M, |G(xi)| >= xi^(d-1)
+    (xi - (M - 1)) >= xi - M > 0, and G(xi) divides h = gcd(a(xi), b(xi));
+    so 0 < h < xi - M proves a and b coprime."""
+    bound = min((math.isqrt(sum(c * c for c in p)) + 1) << (len(p) - 1) for p in (a, b))
+    k = (2 * bound).bit_length()
+    return 0 < math.gcd(_at_power_of_two(a, k), _at_power_of_two(b, k)) < (1 << k) - bound
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +573,9 @@ class UniPoly(Value):
         return UniPoly.from_numerators(self.nums, self.nums[-1])
 
     def gcd(self, other) -> "UniPoly":
-        """Monic greatest common divisor, via a primitive pseudo-remainder
-        sequence over the integers to keep coefficient growth in check."""
+        """Monic greatest common divisor: ``_certified_coprime`` first,
+        then a primitive pseudo-remainder sequence over the integers, the
+        only path that returns a nontrivial gcd."""
         other = self._coerce(other)
         if self.is_zero():
             return other.monic()
@@ -558,6 +583,8 @@ class UniPoly(Value):
             return self.monic()
         a = _primitive(self.nums, 0)[0]
         b = _primitive(other.nums, 0)[0]
+        if _certified_coprime(a, b):
+            return UniPoly.const(1)
         if len(a) < len(b):
             a, b = b, a
         while len(b) > 1:

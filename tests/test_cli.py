@@ -92,6 +92,10 @@ CURVE_GOLDEN = (
         for i in range(9)
     ]
     + [
+        # a model with non-integer coefficients
+        ("curve_weights_half-roots_i3.json", ("weights", HALF_ROOTS, "--i", "3", "--format", "json")),
+    ]
+    + [
         (f"curve_torsion_nonsplit-elliptic_i{i}.json",
          ("torsion", GOLDEN_CURVES["nonsplit-elliptic"], "--i", str(i), "--format", "json"))
         for i in range(1, 7)

@@ -633,8 +633,17 @@ class TestClosedForms:
         assert order_sequence_at(again, build_basis(G2, 3), Place.branch(0)).orders == (0, 1, 2, 4, 6)
 
     def test_place_and_range_checks_hold_on_the_closed_forms(self):
-        with pytest.raises(NotOnCurveError):
+        with pytest.raises(NotOnCurveError) as raised:
             order_sequence_at(E1, build_basis(E1, 2), Place.branch(2))
+        with pytest.raises(NotOnCurveError) as direct:
+            E1.check_place(Place.branch(2))
+        assert str(raised.value) == str(direct.value)
+        # a located place is checked without building its local frame
+        misses = _exact_frame.cache_info().misses
+        model = HyperellipticModel.from_poly(X**3 - 4 * X)
+        for place in (Place.branch(2), Place.infinity()):
+            order_sequence_at(model, build_basis(model, 3), place)
+        assert _exact_frame.cache_info().misses == misses
         # a basis whose exponents leave the system's degree is an engine bug
         bad = MonomialBasis(G2, 0, ((0, 0), (5, 0)))
         for place in (Place.branch(1), Place.infinity()):
@@ -763,8 +772,11 @@ def _full_matrix_wronskian(model, basis):
     return num, y_columns % 2, den.monic()
 
 
+# y^2 = x^3 - x/4: 2f and f' have a denominator, which the integer
+# column recursion carries as a power of D (id suffix q)
+HALF_ROOTS = HyperellipticModel.from_poly(X**3 - X / 4)
 REFERENCE_CASES = [
-    (model, i) for model, i_max in [(E1, 8), (E2, 8), (G2, 6), (G3, 6)]
+    (model, i) for model, i_max in [(E1, 8), (E2, 8), (G2, 6), (G3, 6), (HALF_ROOTS, 6)]
     for i in range(i_max + 1)
 ]
 
@@ -772,7 +784,10 @@ REFERENCE_CASES = [
 class TestWronskian:
     @pytest.mark.parametrize(
         "model, i", REFERENCE_CASES,
-        ids=[f"g{m.genus}{'' if m.splits else 'ns'}-i{i}" for m, i in REFERENCE_CASES],
+        ids=[
+            f"g{m.genus}{'' if m.splits else 'ns'}{'' if m.f.den == 1 else 'q'}-i{i}"
+            for m, i in REFERENCE_CASES
+        ],
     )
     def test_matches_full_matrix_reference(self, model, i):
         # covers bases with two to four y-columns (i >= 4), which the

@@ -17,7 +17,9 @@ from ramloci.numeric import (
     ParamPoly,
     Series,
     UniPoly,
+    _certified_coprime,
     _pack,
+    _primitive,
     bareiss_det,
     poly_eval,
     poly_on_series,
@@ -858,6 +860,48 @@ def test_squarefree_matches_sympy(seed):
         is_sqf = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x).is_sqf
         assert p.is_squarefree() is is_sqf
         assert p.is_squarefree() is (want.degree == p.degree)
+
+
+def _to_sympy(sympy, x, p: UniPoly):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x, domain="QQ")
+
+
+# integer and rational coefficients, degree 0..6
+gcd_coeffs = st.one_of(st.integers(-(10**6), 10**6), small_rationals)
+gcd_polys = st.lists(gcd_coeffs, min_size=1, max_size=7).map(UniPoly).filter(bool)
+
+
+class TestGcdCertificate:
+    @given(gcd_polys, gcd_polys, st.lists(st.integers(-20, 20), max_size=4))
+    @settings(deadline=None, max_examples=300)
+    def test_gcd_matches_sympy_oracle(self, a, b, planted):
+        # planted: a common factor of degree up to 3 (none when empty)
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        common = UniPoly(planted)
+        if common:
+            a, b = a * common, b * common
+        want = _to_sympy(sympy, x, a).gcd(_to_sympy(sympy, x, b)).monic()
+        got = a.gcd(b)
+        assert _to_sympy(sympy, x, got) == want
+        _assert_canonical(got)
+        if _certified_coprime(_primitive(a.nums, 0)[0], _primitive(b.nums, 0)[0]):
+            assert want.degree() == 0 and got == 1
+
+    def test_fallback_when_the_values_share_a_large_factor(self):
+        # x and x^2 + 16 are coprime, but their values 16 and 272 at
+        # xi = 2^4 share 16 >= xi - M with M = 4, so the sequence decides
+        assert not _certified_coprime([0, 1], [16, 0, 1])
+        x = UniPoly.x()
+        assert x.gcd(x**2 + 16) == 1 and (x**2 + 16).gcd(x) == 1
+        assert (x * (x**2 + 16)).gcd(x**2 * (x**2 + 16)) == x**3 + 16 * x
+
+    def test_constant_input(self):
+        x = UniPoly.x()
+        assert _certified_coprime([1], [1, 2, 3])
+        for c in (UniPoly.const(6), UniPoly.const(Fraction(-2, 3))):
+            assert c.gcd(x**2 + 1) == (x**2 + 1).gcd(c) == 1
+            assert c.gcd(UniPoly()) == UniPoly().gcd(c) == 1
 
 
 def _rational_roots_by_divisors(p: UniPoly):
