@@ -52,6 +52,7 @@ hashes by value.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -183,6 +184,22 @@ def _certified_coprime(a, b) -> bool:
     return 0 < math.gcd(_at_power_of_two(a, k), _at_power_of_two(b, k)) < (1 << k) - bound
 
 
+def _power(base, e: int):
+    """``__pow__`` of ``ParamPoly`` and ``UniPoly``: base**e by repeated
+    squaring, for an int e >= 0."""
+    if not isinstance(e, int):
+        raise TypeError(f"polynomial exponent must be an int, not {type(e).__name__}")
+    if e < 0:
+        raise ValueError("negative power of a polynomial")
+    out = type(base).const(1)
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # ParamPoly: polynomials in the formal parameters (g, i)
 
@@ -216,9 +233,12 @@ class ParamPoly(Value):
 
     def __init__(self, terms=None):
         terms = terms or {}
-        keys = [(int(eg), int(ei)) for eg, ei in terms]
-        if any(eg < 0 or ei < 0 for eg, ei in keys):
-            raise ValueError("exponents must be nonnegative")
+        try:
+            keys = [(operator.index(eg), operator.index(ei)) for eg, ei in terms]
+        except TypeError:
+            keys = None
+        if keys is None or any(eg < 0 or ei < 0 for eg, ei in keys):
+            raise ValueError("exponents must be nonnegative integers")
         nums, den = _pack(terms.values())
         self._store(dict(zip(keys, nums)), den)
 
@@ -262,13 +282,22 @@ class ParamPoly(Value):
         if isinstance(other, ParamPoly):
             return other
         if isinstance(other, (int, Fraction)):
+            if not other:
+                return _ZERO
             return ParamPoly._from_numerators({(0, 0): other.numerator}, other.denominator)
         return NotImplemented
+
+    # a zero operand (mostly a zero ChowClass coordinate) returns the other
+    # operand or the shared zero, and a scalar factor scales the numerators
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
         den = math.lcm(self.den, other.den)
         scale = den // self.den
         nums = {k: c * scale for k, c in self.nums.items()}
@@ -289,12 +318,20 @@ class ParamPoly(Value):
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            if not (other and self.nums):
+                return _ZERO
+            n = other.numerator
+            return ParamPoly._from_numerators(
+                {k: c * n for k, c in self.nums.items()}, self.den * other.denominator
+            )
+        if not isinstance(other, ParamPoly):
             return NotImplemented
+        if not (self.nums and other.nums):
+            return _ZERO
         nums = {}
         for (ag, ai), av in self.nums.items():
             for (bg, bi), bv in other.nums.items():
@@ -304,17 +341,7 @@ class ParamPoly(Value):
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        out = ParamPoly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+    __pow__ = _power
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -345,23 +372,31 @@ class ParamPoly(Value):
         return poly_eval(self, g, i)
 
     def grid_values(self, g_points, i_points) -> list[Fraction]:
-        """Exact values at every (g, i) of the grid, g-major.  Per g,
-        Horner's rule in g on the integer numerators gives the integer
-        coefficients of a polynomial in i, and Horner's rule in i each
-        value, both homogenised so that rational points stay over Z; one
-        Fraction per point."""
+        """Exact values at every (g, i) of the grid, g-major, by one inline
+        Horner loop for integer and rational points alike: per g = p/q, on
+        whole rows of integer numerators, for q^dg times the coefficients
+        of a polynomial in i; per i = r/s, for s^di times its value.  At
+        integer points q = s = 1, and a value over 1 is Fraction(numerator)."""
         dg, di = self.degrees()
-        rows = [[0] * (dg + 1) for _ in range(di + 1)]
+        rows = [[0] * (di + 1) for _ in range(dg + 1)]
         for (eg, ei), c in self.nums.items():
-            rows[ei][eg] = c
+            rows[dg - eg][di - ei] = c
+        i_points = [(i.numerator, i.denominator) for i in i_points]
         out = []
         for g in g_points:
-            col = [_homogeneous_value(row, g.numerator, g.denominator) for row in rows]
-            den = self.den * g.denominator**dg
-            out += [
-                Fraction(_homogeneous_value(col, i.numerator, i.denominator), den * i.denominator**di)
-                for i in i_points
-            ]
+            p, q = g.numerator, g.denominator
+            col, qk = rows[0], 1
+            for row in rows[1:]:
+                qk *= q
+                col = [a * p + c * qk for a, c in zip(col, row)]
+            lead, tail = col[0], col[1:]
+            for r, s in i_points:
+                acc, sk = lead, 1
+                for c in tail:
+                    sk *= s
+                    acc = acc * r + c * sk
+                den = self.den * qk * sk
+                out.append(Fraction(acc, den) if den != 1 else Fraction(acc))
         return out
 
     def __repr__(self):
@@ -386,6 +421,9 @@ class ParamPoly(Value):
                 parts.append(f"{c}*{mono}")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
+
+
+_ZERO = ParamPoly()
 
 
 def poly_eval(p: ParamPoly, g, i) -> Fraction:
@@ -494,7 +532,7 @@ class UniPoly(Value):
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -509,17 +547,7 @@ class UniPoly(Value):
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        out = UniPoly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+    __pow__ = _power
 
     def __divmod__(self, other):
         """Quotient and remainder over Q: the numerators, scaled by
@@ -890,7 +918,7 @@ class Series(Value):
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -232,6 +232,28 @@ class TestEngineRecord:
         run_suite()
         assert 1 <= len(calls) <= 2
 
+    def test_engine_build_skips_zero_operands(self, monkeypatch):
+        """A zero operand is neither added nor multiplied as a polynomial:
+        one build of the engine normalises at most 250 polynomials, where
+        sending every zero ChowClass coordinate through the generic
+        product and sum took 556."""
+        stores = []
+        real = ParamPoly._store
+
+        def counting(poly, nums, den):
+            stores.append(den)
+            real(poly, nums, den)
+
+        monkeypatch.setattr(ParamPoly, "_store", counting)
+        engine_polys.cache_clear()
+        try:
+            polys = engine_polys()
+        finally:
+            # no other test may see the build made under the counter
+            engine_polys.cache_clear()
+        assert 0 < len(stores) <= 250
+        assert all(polys[name] == CLOSED_FORMS[name].expr for name in polys)
+
     def test_record_is_read_only(self):
         with pytest.raises(TypeError):
             engine_polys()["SW_degree"] = 0

@@ -341,6 +341,47 @@ class TestParamPoly:
         with pytest.raises(TypeError):
             p.terms[(0, 0)] = 1
 
+    @pytest.mark.parametrize(
+        "exponents", [(1.5, 0), (0.9, 2), (-0.5, 0), ("2", 0), (0, Fraction(2)), (-1, 0), (0, -3)]
+    )
+    def test_exponents_must_be_nonnegative_integers(self, exponents):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            ParamPoly({exponents: 3})
+
+    def test_integer_like_exponents_are_accepted(self):
+        assert ParamPoly({(True, 2): 3}) == 3 * G * I**2
+
+    @pytest.mark.parametrize("e", [2.0, Fraction(2), "2"])
+    def test_power_needs_an_int_exponent(self, e):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            G**e
+        with pytest.raises(ValueError, match="negative power"):
+            G**-1
+
+    def test_grid_values_at_edge_points(self):
+        """The zero polynomial, constants and polynomials at negative and
+        repeated points: integer points give the values at the same
+        points as Fractions, and poly_eval's at each point."""
+        points = [-3, 0, 2, 2, -1, 5]
+        for p in (ParamPoly(), ParamPoly.const(7), ParamPoly.const(Fraction(-2, 3)),
+                  G**3 - G, Fraction(1, 2) * I**2 * G - I + Fraction(3, 4)):
+            got = p.grid_values(points, points[::-1])
+            assert got == p.grid_values([Fraction(g) for g in points],
+                                        [Fraction(i) for i in points[::-1]])
+            assert got == [poly_eval(p, g, i) for g in points for i in points[::-1]]
+            assert all(type(v) is Fraction for v in got)
+            assert p.grid_values([], points) == p.grid_values(points, []) == []
+        assert ParamPoly().grid_values([1, 2], [3]) == [0, 0]
+        assert ParamPoly.const(7).grid_values([-1], [0, 4]) == [7, 7]
+
+    @given(param_polys, st.lists(st.integers(-6, 6), max_size=4),
+           st.lists(st.integers(-6, 6), max_size=4))
+    def test_grid_values_integer_points(self, p, g_points, i_points):
+        got = p.grid_values(g_points, i_points)
+        assert got == p.grid_values([Fraction(g) for g in g_points],
+                                    [Fraction(i) for i in i_points])
+        assert got == [poly_eval(p, g, i) for g in g_points for i in i_points]
+
     @given(st.integers(-5, 5), st.integers(-5, 5))
     def test_sum_of_evaluations(self, g, i):
         p = 2 * G**2 - I + 3
@@ -357,6 +398,15 @@ class TestUniPoly:
         q, r = divmod(p, d)
         assert q * d + r == p
         assert r.degree < d.degree
+
+    @pytest.mark.parametrize("e", [2.0, Fraction(2), "2"])
+    def test_power_needs_an_int_exponent(self, e):
+        x = UniPoly.x()
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            x**e
+        with pytest.raises(ValueError, match="negative power"):
+            x**-1
+        assert x**True == x and x**0 == 1
 
     def test_exact_div_raises_on_remainder(self):
         x = UniPoly.x()
@@ -1044,3 +1094,51 @@ def test_param_poly_matches_sympy():
         assert sympy.Poly(parsed, g, i, domain="QQ") == sp
 
     check()
+
+
+def test_param_poly_scalar_operands_match_sympy():
+    """A zero or scalar operand, on either side, which the operators
+    handle without the generic sum or product, gives sympy's result in
+    the canonical stored form."""
+    sympy = pytest.importorskip("sympy")
+    g, i = sympy.symbols("g i")
+
+    def to_sympy(x):
+        terms = x.terms if isinstance(x, ParamPoly) else {(0, 0): Fraction(x)}
+        return sympy.Poly.from_dict(
+            {k: sympy.Rational(c.numerator, c.denominator) for k, c in terms.items()},
+            g, i, domain="QQ",
+        )
+
+    scalars = st.one_of(
+        st.sampled_from([0, 1, -1, ParamPoly()]),
+        st.integers(-10**6, 10**6),
+        st.fractions(-100, 100, max_denominator=50),
+    )
+
+    @settings(deadline=None, max_examples=150)
+    @given(param_polys, scalars)
+    def check(p, s):
+        sp, ss = to_sympy(p), to_sympy(s)
+        for got, want in (
+            (p + s, sp + ss), (s + p, ss + sp),
+            (p - s, sp - ss), (s - p, ss - sp),
+            (p * s, sp * ss), (s * p, ss * sp),
+        ):
+            assert isinstance(got, ParamPoly)
+            assert to_sympy(got) == want
+            rebuilt = ParamPoly(dict(got.terms))
+            assert (got.nums, got.den, hash(got), repr(got)) == (
+                rebuilt.nums, rebuilt.den, hash(rebuilt), repr(rebuilt)
+            )
+
+    check()
+
+
+@pytest.mark.parametrize("x", [G, UniPoly.x(), Series.monomial(1)])
+def test_unsupported_operand_raises_type_error(x):
+    # the reflected subtraction used to recurse until RecursionError
+    for op in (lambda: object() - x, lambda: x - object(), lambda: object() * x):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
+    assert 1 - x == -(x - 1) and Fraction(1, 2) - x == -(x - Fraction(1, 2))
