@@ -146,7 +146,9 @@ class HyperellipticModel(Value):
 
     @classmethod
     def from_poly(cls, f: UniPoly) -> "HyperellipticModel":
-        if f.is_zero() or f.degree < 3:
+        if f.is_zero():
+            raise CurveValidationError("f is the zero polynomial")
+        if f.degree < 3:
             raise CurveValidationError(f"degree must be at least 3, got {f.degree}")
         if f.degree % 2 == 0:
             raise EvenDegreeError(f"degree {f.degree} is even; an odd model is required")
@@ -283,7 +285,7 @@ def _on_monomial(p: UniPoly, k: int, c: Fraction) -> Series:
     nums = [0] * (abs(k) * top + 1)
     for j, cj in enumerate(p.nums):
         nums[k * j - lo] = cj * a**j * b ** (top - j)
-    return Series.from_numerators(lo, nums, p.den * b**top, exact=True)
+    return Series.from_numerators(lo, nums, p.den * b**top, True)
 
 
 def _solve_branch_parameter(fshift: UniPoly, prec: int) -> Series:

@@ -23,9 +23,13 @@ window were infinite.
 ``ParamPoly``, ``UniPoly`` and ``Series`` all store integer numerators
 over one positive denominator, with their common content removed: a
 ``ParamPoly`` keys its numerators by exponent pair, the other two keep
-a list.  ``_pack`` is the one way in from rationals and ``_primitive``
-the one normaliser, so the stored form is canonical, and ``terms`` and
-``coeffs`` build ``Fraction`` objects only when asked.  The certifier's
+a list.  The mixin ``_Exact`` defines once what the three share:
+``from_numerators``, the coercion of int and Fraction operands,
+subtraction and the reflected operators, and for the two polynomial
+types equality and ``is_zero``.  ``_pack`` is the one way in from
+rationals and ``_primitive`` the one normaliser, so the stored form is
+canonical, and ``terms`` and ``coeffs`` build ``Fraction`` objects only
+when asked.  The certifier's
 Chow-ring and bundle calculus therefore runs on integers, and
 ``ParamPoly.grid_values`` builds one ``Fraction`` per grid point.  A
 ``UniPoly`` or ``Series`` product is one call of the integer kernel
@@ -200,6 +204,54 @@ def _power(base, e: int):
     return out
 
 
+class _Exact:
+    """Rules shared by ``ParamPoly``, ``UniPoly`` and ``Series``, which store
+    integer numerators ``nums`` over one denominator ``den``.  Each type's
+    ``_store`` normalises a stored form given as one tuple, and its
+    ``_scalar`` makes an int or Fraction operand a constant."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_numerators(cls, *parts):
+        """The value stored as ``parts``, normalised: (nums, den) for a
+        polynomial, (lead, nums, den, exact) for a series; den is nonzero."""
+        new = object.__new__(cls)
+        new._store(parts)
+        return new
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self._scalar(other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+
 # ---------------------------------------------------------------------------
 # ParamPoly: polynomials in the formal parameters (g, i)
 
@@ -219,7 +271,7 @@ class _Numerators(dict):
     clear = pop = popitem = setdefault = update = _refuse
 
 
-class ParamPoly(Value):
+class ParamPoly(_Exact, Value):
     """Polynomial in the formal parameters (g, i) with rational coefficients.
 
     Stored as sum(nums[(e_g, e_i)] g^e_g i^e_i) / den: a read-only map
@@ -240,24 +292,16 @@ class ParamPoly(Value):
         if keys is None or any(eg < 0 or ei < 0 for eg, ei in keys):
             raise ValueError("exponents must be nonnegative integers")
         nums, den = _pack(terms.values())
-        self._store(dict(zip(keys, nums)), den)
+        self._store((dict(zip(keys, nums)), den))
 
-    def _store(self, nums, den):
-        """The normaliser every constructor and operation goes through:
-        drop zero numerators, remove the content and make den positive."""
+    def _store(self, parts):
+        """Drop zero numerators, remove the content and make den positive."""
+        nums, den = parts
         nums = {k: c for k, c in nums.items() if c}
         vals = list(nums.values())
         prim, den = _primitive(vals, den)
         object.__setattr__(self, "nums", _Numerators(nums if prim is vals else zip(nums, prim)))
         object.__setattr__(self, "den", den)
-
-    @classmethod
-    def _from_numerators(cls, nums, den: int) -> "ParamPoly":
-        """The polynomial with the integer numerators ``nums``, a map from
-        exponent pairs, over the nonzero integer den."""
-        p = object.__new__(cls)
-        p._store(nums, den)
-        return p
 
     @classmethod
     def const(cls, c) -> "ParamPoly":
@@ -278,14 +322,8 @@ class ParamPoly(Value):
         return MappingProxyType({k: Fraction(c, self.den) for k, c in self.nums.items()})
 
     @staticmethod
-    def _coerce(other):
-        if isinstance(other, ParamPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return _ZERO
-            return ParamPoly._from_numerators({(0, 0): other.numerator}, other.denominator)
-        return NotImplemented
+    def _scalar(c):
+        return ParamPoly.from_numerators({(0, 0): c.numerator}, c.denominator) if c else _ZERO
 
     # a zero operand (mostly a zero ChowClass coordinate) returns the other
     # operand or the shared zero, and a scalar factor scales the numerators
@@ -304,28 +342,17 @@ class ParamPoly(Value):
         scale = den // other.den
         for k, c in other.nums.items():
             nums[k] = nums.get(k, 0) + c * scale
-        return ParamPoly._from_numerators(nums, den)
-
-    __radd__ = __add__
+        return ParamPoly.from_numerators(nums, den)
 
     def __neg__(self):
-        return ParamPoly._from_numerators({k: -c for k, c in self.nums.items()}, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
+        return ParamPoly.from_numerators({k: -c for k, c in self.nums.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not (other and self.nums):
                 return _ZERO
             n = other.numerator
-            return ParamPoly._from_numerators(
+            return ParamPoly.from_numerators(
                 {k: c * n for k, c in self.nums.items()}, self.den * other.denominator
             )
         if not isinstance(other, ParamPoly):
@@ -337,17 +364,9 @@ class ParamPoly(Value):
             for (bg, bi), bv in other.nums.items():
                 k = (ag + bg, ai + bi)
                 nums[k] = nums.get(k, 0) + av * bv
-        return ParamPoly._from_numerators(nums, self.den * other.den)
-
-    __rmul__ = __mul__
+        return ParamPoly.from_numerators(nums, self.den * other.den)
 
     __pow__ = _power
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         # a constant hashes as its value, since it equals that int or Fraction
@@ -355,9 +374,6 @@ class ParamPoly(Value):
         if len(self.nums) == (1 if c else 0):
             return hash(Fraction(c, self.den))
         return hash((frozenset(self.nums.items()), self.den))
-
-    def is_zero(self) -> bool:
-        return not self.nums
 
     def __bool__(self):
         return bool(self.nums)
@@ -435,7 +451,7 @@ def poly_eval(p: ParamPoly, g, i) -> Fraction:
 # UniPoly: dense univariate polynomials over Q
 
 
-class UniPoly(Value):
+class UniPoly(_Exact, Value):
     """Dense univariate polynomial over Q; the zero polynomial has no terms.
 
     Stored as sum(nums[k] x^k) / den: integer numerators over one positive
@@ -447,26 +463,17 @@ class UniPoly(Value):
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
-        self._store(*_pack(coeffs))
+        self._store(_pack(coeffs))
 
-    def _store(self, nums, den):
-        """The normaliser every constructor and operation goes through:
-        strip trailing zero numerators, remove the content and make den
-        positive."""
+    def _store(self, parts):
+        """Strip trailing zero numerators, remove the content and make den positive."""
+        nums, den = parts
         hi = len(nums)
         while hi and not nums[hi - 1]:
             hi -= 1
         nums, den = _primitive(nums[:hi], den)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
-
-    @classmethod
-    def from_numerators(cls, nums, den: int = 1) -> "UniPoly":
-        """The polynomial sum(nums[k] x^k) / den, for integers nums and a
-        nonzero integer den."""
-        p = object.__new__(cls)
-        p._store(nums, den)
-        return p
 
     @classmethod
     def const(cls, c) -> "UniPoly":
@@ -478,15 +485,12 @@ class UniPoly(Value):
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as Fractions, constant term first."""
+        """The stored coefficients as Fractions, lowest exponent first."""
         return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> int:
         return len(self.nums) - 1
-
-    def is_zero(self) -> bool:
-        return not self.nums
 
     def __bool__(self):
         return bool(self.nums)
@@ -501,12 +505,8 @@ class UniPoly(Value):
         return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
 
     @staticmethod
-    def _coerce(other):
-        if isinstance(other, UniPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return UniPoly.from_numerators([other.numerator], other.denominator)
-        return NotImplemented
+    def _scalar(c):
+        return UniPoly.from_numerators([c.numerator], c.denominator)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -520,19 +520,8 @@ class UniPoly(Value):
         a[: len(b)] = [x + y for x, y in zip(a, b)]
         return UniPoly.from_numerators(a, den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return UniPoly.from_numerators([-c for c in self.nums], self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -545,8 +534,6 @@ class UniPoly(Value):
             _kernels.convolve(self.nums, other.nums, n), self.den * other.den
         )
 
-    __rmul__ = __mul__
-
     __pow__ = _power
 
     def __divmod__(self, other):
@@ -554,6 +541,8 @@ class UniPoly(Value):
         lead^(dq+1) so that every step of the integer long division is
         exact, are divided by other's; the scale goes into den."""
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         dq = len(self.nums) - len(other.nums)
@@ -565,11 +554,13 @@ class UniPoly(Value):
         quo = UniPoly.from_numerators([c * other.den for c in quo], den)
         return quo, UniPoly.from_numerators(rem, den)
 
-    def exact_div(self, other) -> "UniPoly":
+    def __truediv__(self, other):
         """Quotient self/other, raising if the division is not exact.  The
         numerators are divided by the primitive part of other's, which by
         Gauss's lemma leaves an integer quotient whenever it divides."""
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         content = math.gcd(*other.nums)
@@ -578,13 +569,9 @@ class UniPoly(Value):
             raise ValueError("inexact polynomial division")
         return UniPoly.from_numerators([c * other.den for c in out[0]], self.den * content)
 
-    __truediv__ = exact_div
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.nums == other.nums and self.den == other.den
+    def exact_div(self, other) -> "UniPoly":
+        """``self / other``: TypeError unless other is a UniPoly, int or Fraction."""
+        return self / other
 
     def __hash__(self):
         # a constant hashes as its value, since it equals that int or Fraction
@@ -604,7 +591,9 @@ class UniPoly(Value):
         """Monic greatest common divisor: ``_certified_coprime`` first,
         then a primitive pseudo-remainder sequence over the integers, the
         only path that returns a nontrivial gcd."""
-        other = self._coerce(other)
+        if (q := self._coerce(other)) is NotImplemented:
+            raise TypeError(f"gcd of a UniPoly and a {type(other).__name__}")
+        other = q
         if self.is_zero():
             return other.monic()
         if other.is_zero():
@@ -773,7 +762,7 @@ def _integer_root_candidates(cs):
 # Series: truncated Laurent series
 
 
-class Series(Value):
+class Series(_Exact, Value):
     """Truncated Laurent series in a local parameter t.
 
     Stored as t^lead * sum(nums[k] t^k) / den: integer numerators over
@@ -791,12 +780,12 @@ class Series(Value):
     __slots__ = ("lead", "nums", "den", "exact")
 
     def __init__(self, lead: int, coeffs=(), exact: bool = False):
-        self._store(lead, *_pack(coeffs), exact)
+        self._store((lead, *_pack(coeffs), exact))
 
-    def _store(self, lead, nums, den, exact):
-        """The normaliser every constructor and operation goes through:
-        strip zero numerators (trailing ones only when exact), remove the
+    def _store(self, parts):
+        """Strip zero numerators (trailing ones only when exact), remove the
         content and make den positive."""
+        lead, nums, den, exact = parts
         lo, hi = 0, len(nums)
         while lo < hi and not nums[lo]:
             lo += 1
@@ -812,16 +801,8 @@ class Series(Value):
     # -- constructors
 
     @classmethod
-    def from_numerators(cls, lead: int, nums, den: int, exact: bool = False) -> "Series":
-        """The series t^lead * sum(nums[k] t^k) / den, for integers nums
-        and a nonzero integer den."""
-        s = object.__new__(cls)
-        s._store(lead, nums, den, exact)
-        return s
-
-    @classmethod
     def zero(cls) -> "Series":
-        return cls.from_numerators(0, (), 1, exact=True)
+        return cls.from_numerators(0, (), 1, True)
 
     @classmethod
     def constant(cls, c) -> "Series":
@@ -833,10 +814,7 @@ class Series(Value):
 
     # -- structure
 
-    @property
-    def coeffs(self) -> tuple:
-        """The stored coefficients as Fractions, from the valuation on."""
-        return tuple(Fraction(c, self.den) for c in self.nums)
+    coeffs = UniPoly.coeffs
 
     @property
     def known_up_to(self):
@@ -859,6 +837,9 @@ class Series(Value):
         """True only for the exact zero series."""
         return self.exact and not self.nums
 
+    # a series equals only a series with the same stored form, never a scalar
+    __eq__, __hash__ = Value.__eq__, Value.__hash__
+
     def coefficient(self, e: int) -> Fraction:
         if e < self.lead:
             return Fraction(0)
@@ -872,12 +853,8 @@ class Series(Value):
     # -- arithmetic
 
     @staticmethod
-    def _coerce(other):
-        if isinstance(other, Series):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Series.from_numerators(0, [other.numerator], other.denominator, exact=True)
-        return NotImplemented
+    def _scalar(c):
+        return Series.from_numerators(0, [c.numerator], c.denominator, True)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -906,19 +883,8 @@ class Series(Value):
             out[off + j] += c * scale
         return Series.from_numerators(base, out, den, exact)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Series.from_numerators(self.lead, [-c for c in self.nums], self.den, self.exact)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -939,8 +905,6 @@ class Series(Value):
         return Series.from_numerators(
             base, _kernels.convolve(self.nums, other.nums, n), self.den * other.den, exact
         )
-
-    __rmul__ = __mul__
 
     def scale(self, c) -> "Series":
         """c times the series, for an int or a Fraction c."""
@@ -973,6 +937,15 @@ class Series(Value):
         return f"Series({body} + O(t^{self.known_up_to}))"
 
 
+def _newton_window(s: Series, prec, what: str) -> int:
+    """Coefficients a Newton loop on s can justify: prec, required when s is exact."""
+    if not s.exact:
+        return len(s.nums) if prec is None else min(prec, len(s.nums))
+    if prec is None:
+        raise ValueError(f"precision required {what} an exact series")
+    return prec
+
+
 def series_invert(s: Series, prec: int | None = None) -> Series:
     """Multiplicative inverse of a series, to the justified precision.
 
@@ -985,13 +958,8 @@ def series_invert(s: Series, prec: int | None = None) -> Series:
             "cannot invert a series whose known coefficients are all zero"
         )
     if s.exact and len(s.nums) == 1:
-        return Series.from_numerators(-s.lead, [s.den], s.nums[0], exact=True)
-    if s.exact:
-        if prec is None:
-            raise ValueError("precision required to invert an exact series")
-        p = prec
-    else:
-        p = len(s.nums) if prec is None else min(prec, len(s.nums))
+        return Series.from_numerators(-s.lead, [s.den], s.nums[0], True)
+    p = _newton_window(s, prec, "to invert")
     # u = s / c0 is u_k = nums[k] / nums[0]; x = 1/u is xs / dx.
     nums = s.nums[: max(p, 1)]
     du = nums[0]
@@ -1005,7 +973,7 @@ def series_invert(s: Series, prec: int | None = None) -> Series:
         two_minus = [2 * d - ux[0]] + [-c for c in ux[1:]]
         xs, dx = _primitive(_kernels.convolve(xs, two_minus, m), dx * d)
     # 1/s = (1/u) / c0 with c0 = du / den
-    return Series.from_numerators(-s.lead, [c * s.den for c in xs], dx * du)
+    return Series.from_numerators(-s.lead, [c * s.den for c in xs], dx * du, False)
 
 
 def series_sqrt(s: Series, prec: int | None = None) -> Series:
@@ -1030,12 +998,7 @@ def series_sqrt(s: Series, prec: int | None = None) -> Series:
         raise NotASquareError(f"leading coefficient {c0} is not a square in Q")
     if s.exact and len(s.nums) == 1:
         return Series.monomial(s.lead // 2, r0)
-    if s.exact:
-        if prec is None:
-            raise ValueError("precision required for the root of an exact series")
-        p = prec
-    else:
-        p = len(s.nums) if prec is None else min(prec, len(s.nums))
+    p = _newton_window(s, prec, "for the root of")
     # u = s / c0 is u_k = nums[k] / nums[0]; z = u^(-1/2) is zs / dz.
     nums = list(s.nums[: max(p, 1)])
     du = nums[0]
@@ -1052,7 +1015,7 @@ def series_sqrt(s: Series, prec: int | None = None) -> Series:
     # sqrt(s) = r0 * u * z
     root = _kernels.convolve(nums, zs, p)
     return Series.from_numerators(
-        s.lead // 2, [c * r0.numerator for c in root], du * dz * r0.denominator
+        s.lead // 2, [c * r0.numerator for c in root], du * dz * r0.denominator, False
     )
 
 

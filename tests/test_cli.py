@@ -505,6 +505,12 @@ class TestCurveCommand:
         proc = run_module("curve", "weights", equation, "--i", "1")
         _assert_one_error_line(proc, "syntax")
 
+    @pytest.mark.parametrize("equation", ["y^2 = 0", "y^2 = x^3 - x^3"])
+    def test_zero_right_side_is_invalid_curve(self, equation):
+        proc = run_module("curve", "weights", equation)
+        _assert_one_error_line(proc, "invalid-curve")
+        assert proc.stderr == "error[invalid-curve]: f is the zero polynomial\n"
+
     def test_large_constant_term_validates_fast(self):
         # a divisor scan of the constant term 10^30 + 1 is ~10^15 steps
         proc = run_module(

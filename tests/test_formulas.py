@@ -240,9 +240,9 @@ class TestEngineRecord:
         stores = []
         real = ParamPoly._store
 
-        def counting(poly, nums, den):
-            stores.append(den)
-            real(poly, nums, den)
+        def counting(poly, parts):
+            stores.append(parts)
+            real(poly, parts)
 
         monkeypatch.setattr(ParamPoly, "_store", counting)
         engine_polys.cache_clear()

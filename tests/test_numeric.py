@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -1142,3 +1143,48 @@ def test_unsupported_operand_raises_type_error(x):
         with pytest.raises(TypeError, match="unsupported operand"):
             op()
     assert 1 - x == -(x - 1) and Fraction(1, 2) - x == -(x - Fraction(1, 2))
+
+
+def test_unipoly_division_rejects_other_operand_types():
+    x = UniPoly.x()
+    assert x.__truediv__("a") is NotImplemented and x.__divmod__("a") is NotImplemented
+    with pytest.raises(TypeError, match="unsupported operand.*'str'"):
+        x / "a"
+    with pytest.raises(TypeError, match="unsupported operand.*'str'"):
+        divmod(x, "a")
+    with pytest.raises(TypeError, match="'float'"):
+        x.exact_div(1.5)
+    with pytest.raises(TypeError, match="str"):
+        x.gcd("a")
+
+
+# per type: values, the constant built through _pack, and from_numerators' arguments
+_EXACT_TYPES = {
+    "ParamPoly": (param_polys, ParamPoly.const, lambda a: (dict(a.nums), a.den)),
+    "UniPoly": (polys, UniPoly.const, lambda a: (a.nums, a.den)),
+    "Series": (series_values, Series.constant, lambda a: (a.lead, a.nums, a.den, a.exact)),
+}
+protocol_scalars = st.one_of(st.sampled_from([0, 1, -1]), st.integers(), st.fractions())
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_TYPES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shared_exact_protocol(name, data):
+    """The rules ParamPoly, UniPoly and Series share: subtraction is
+    adding the negation, a scalar operand is the constant, and
+    from_numerators rebuilds the stored form."""
+    values, const, parts = _EXACT_TYPES[name]
+    a, b, s = data.draw(values), data.draw(values), data.draw(protocol_scalars)
+    assert a - b == a + (-b)
+    assert s - a == -(a - s)
+    c = a._coerce(s)
+    assert type(c) is type(a) and c == const(s) and hash(c) == hash(const(s))
+    rebuilt = type(a).from_numerators(*parts(a))
+    assert type(rebuilt) is type(a) and parts(rebuilt) == parts(a)
+    for bad in ("a", 1.5, None):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(a, bad)
+            with pytest.raises(TypeError):
+                op(bad, a)

@@ -92,7 +92,14 @@ VALUES = {
     "MonomialBasis": (build_basis(E1, 2), "i"),
     "CurveFunction": (affine_wronskian(E1, build_basis(E1, 2)), "num"),
 }
-VALUE_TYPES = sorted(cls.__name__ for cls in Value.__subclasses__())
+
+
+def _all_subclasses(cls):
+    """Every subclass of cls, however deep, so an intermediate base hides none."""
+    return [c for sub in cls.__subclasses__() for c in (sub, *_all_subclasses(sub))]
+
+
+VALUE_TYPES = sorted(cls.__name__ for cls in _all_subclasses(Value))
 RECORDS = {
     "OrderSequence": (OrderSequence.from_orders([0, 1, 3]), "weight"),
     "WeightReport": (total_weight(E1, 1), "total"),
