@@ -159,6 +159,10 @@ class _Parser:
             coeff = self.parse_number()
             if self.peek()[0] == "*":
                 self.take("*")
+                if (tok := self.peek())[0] != "name":  # a '*' is always followed by x
+                    raise CurveSyntaxError(
+                        f"expected x after '*', found {tok[1] or 'end of input'!r}", tok[2]
+                    )
         tok = self.peek()
         exponent = 0
         if tok[0] == "name":

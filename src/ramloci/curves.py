@@ -55,6 +55,7 @@ from .numeric import (
     Series,
     UniPoly,
     Value,
+    _homogeneous_value,
     bareiss_det,
     poly_on_series,
     series_invert,
@@ -167,7 +168,8 @@ class HyperellipticModel(Value):
         if place.kind == INFINITY:
             return
         if place.kind == BRANCH:
-            if self.f.evaluate(place.x) != 0:
+            # q^n f(p/q) for x0 = p/q: one integer Horner pass, no Fraction
+            if _homogeneous_value(self.f.nums, place.x.numerator, place.x.denominator):
                 raise NotOnCurveError(f"{place} is not a branch place: f(x0) != 0")
             return
         fx = self.f.evaluate(place.x)
@@ -425,7 +427,7 @@ def order_sequence_at(model: HyperellipticModel, basis: MonomialBasis, place: Pl
     distinct.  An ordinary place goes through the series ladder,
     ``_series_orders``, which the tests hold against both closed forms.
     """
-    if basis.model != model:
+    if basis.model is not model and basis.model != model:
         raise ValueError("the basis was built for another model")
     g, d = model.genus, 2 * model.genus - 1 + basis.i
     if place.kind == BRANCH:

@@ -33,16 +33,17 @@ when asked.  The certifier's
 Chow-ring and bundle calculus therefore runs on integers, and
 ``ParamPoly.grid_values`` builds one ``Fraction`` per grid point.  A
 ``UniPoly`` or ``Series`` product is one call of the integer kernel
-``_kernels.convolve`` on the stored numerators.  Every polynomial
-division (``exact_div``, ``divmod``, the pseudo-remainders of ``gcd``
-and the division by q x - p in ``root_multiplicity``) is one integer
-long-division loop, ``_long_div``; exact division divides by the
+``_kernels.convolve`` on the stored numerators.  Polynomial division
+(``exact_div``, ``divmod`` and the pseudo-remainders of ``gcd``) is one
+integer long-division loop, ``_long_div``; exact division divides by the
 primitive part of the divisor, which stays over Z by Gauss's lemma, so
-fraction-free Bareiss runs over Z[x].  ``gcd`` runs its pseudo-remainder
-sequence only when the integer gcd of the inputs' values at a large power
-of two does not prove them coprime.  ``poly_on_series`` (the inner
-loop of every local expansion) is Horner's rule on ``Series`` objects
-with the integer numerators of the polynomial.  The Newton loops of
+fraction-free Bareiss runs over Z[x].  ``root_multiplicity`` divides by
+the primitive q x - p for x0 = p/q with ``_divide_linear``, a synthetic
+division over Z with one carry and no list slices.  ``gcd`` runs its
+pseudo-remainder sequence only when the integer gcd of the inputs'
+values at a large power of two does not prove them coprime.
+``poly_on_series`` (the inner loop of every local expansion) is Horner's
+rule on ``Series`` objects with the integer numerators of the polynomial.  The Newton loops of
 ``series_invert`` and ``series_sqrt`` carry one integer list over one
 denominator, removing its content at every step.
 
@@ -153,6 +154,26 @@ def _long_div(nums, divisor):
         if c:
             rem[k : k + n] = [a - c * b for a, b in zip(rem[k : k + n], divisor)]
     return quo, rem[:n]
+
+
+def _divide_linear(nums, p: int, q: int):
+    """Quotient of the integer list ``nums`` by the primitive q x - p
+    (q > 0), or None when q x - p does not divide it.  Synthetic division
+    from the top: each carry is the next coefficient plus p times the
+    last quotient coefficient, the next quotient coefficient is the carry
+    over q, and the carry past the constant term is the remainder."""
+    quo, b = [], 0
+    if q == 1:
+        for a in reversed(nums):
+            b = a + b * p
+            quo.append(b)
+    else:
+        for a in reversed(nums):
+            b, r = divmod(a + b * p, q)
+            if r:
+                return None
+            quo.append(b)
+    return None if b else quo[-2::-1]
 
 
 def _homogeneous_value(nums, p: int, q: int) -> int:
@@ -648,14 +669,14 @@ class UniPoly(_Exact, Value):
     def root_multiplicity(self, x0) -> int:
         """Multiplicity of x0 = p/q as a root (0 when p(x0) != 0): how many
         times the numerators divide by the primitive q x - p, exactly over
-        Z by Gauss's lemma."""
+        Z by Gauss's lemma, each time by ``_divide_linear``."""
         if self.is_zero():
             raise ValueError("every point is a root of the zero polynomial")
         x0 = Fraction(x0)
-        lin = [-x0.numerator, x0.denominator]
+        p, q = x0.numerator, x0.denominator
         nums, m = self.nums, 0
-        while (out := _long_div(nums, lin)) and not any(out[1]):
-            nums, m = out[0], m + 1
+        while len(nums) > 1 and (quo := _divide_linear(nums, p, q)) is not None:
+            nums, m = quo, m + 1
         return m
 
     def rational_roots(self):
@@ -938,7 +959,10 @@ class Series(_Exact, Value):
 
 
 def _newton_window(s: Series, prec, what: str) -> int:
-    """Coefficients a Newton loop on s can justify: prec, required when s is exact."""
+    """Coefficients a Newton loop on s can justify: prec, which must be
+    positive and is required when s is exact."""
+    if prec is not None and prec < 1:
+        raise ValueError("precision must be positive")
     if not s.exact:
         return len(s.nums) if prec is None else min(prec, len(s.nums))
     if prec is None:
@@ -961,7 +985,7 @@ def series_invert(s: Series, prec: int | None = None) -> Series:
         return Series.from_numerators(-s.lead, [s.den], s.nums[0], True)
     p = _newton_window(s, prec, "to invert")
     # u = s / c0 is u_k = nums[k] / nums[0]; x = 1/u is xs / dx.
-    nums = s.nums[: max(p, 1)]
+    nums = s.nums[:p]
     du = nums[0]
     # Newton iteration x <- x(2 - u x), doubling the correct window
     xs, dx = [1], 1
@@ -1000,7 +1024,7 @@ def series_sqrt(s: Series, prec: int | None = None) -> Series:
         return Series.monomial(s.lead // 2, r0)
     p = _newton_window(s, prec, "for the root of")
     # u = s / c0 is u_k = nums[k] / nums[0]; z = u^(-1/2) is zs / dz.
-    nums = list(s.nums[: max(p, 1)])
+    nums = list(s.nums[:p])
     du = nums[0]
     nums += [0] * (p - len(nums))
     zs, dz = [1], 1

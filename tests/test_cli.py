@@ -92,8 +92,9 @@ CURVE_GOLDEN = (
         for i in range(9)
     ]
     + [
-        # a model with non-integer coefficients
-        ("curve_weights_half-roots_i3.json", ("weights", HALF_ROOTS, "--i", "3", "--format", "json")),
+        # a model with non-integer coefficients and branch places x0 = p/q, q = 2
+        (f"curve_weights_half-roots_i{i}.json", ("weights", HALF_ROOTS, "--i", str(i), "--format", "json"))
+        for i in range(9)
     ]
     + [
         (f"curve_torsion_nonsplit-elliptic_i{i}.json",
@@ -181,6 +182,11 @@ class TestParseCurve:
             ("y^2 = x^3 +", "expected a coefficient or x, found 'end of input' (at position 11)"),
             ("y^2 = x^ + 1", "expected num, found '+' (at position 9)"),
             ("y^2 = x^3 - x + 1/2*x^3 x", "trailing input 'x' (at position 24)"),
+            ("y^2 = x^3 + 3*", "expected x after '*', found 'end of input' (at position 14)"),
+            ("y^2 = x^3 + 2*+1", "expected x after '*', found '+' (at position 14)"),
+            ("y^2 = x^3 + 2*1", "expected x after '*', found '1' (at position 14)"),
+            ("y^2 = x^3 - 1/2**x", "expected x after '*', found '*' (at position 16)"),
+            ("y^2 = x^3 + 2*y", "y may only appear on the left side (at position 14)"),
         ],
     )
     def test_syntax_error_messages(self, equation, message):
@@ -504,6 +510,13 @@ class TestCurveCommand:
     def test_oversized_curve_is_syntax_error(self, equation):
         proc = run_module("curve", "weights", equation, "--i", "1")
         _assert_one_error_line(proc, "syntax")
+
+    @pytest.mark.parametrize("equation", ["y^2 = x^3 + 3*", "y^2 = x^3 + 2*+1"])
+    def test_dangling_star_is_syntax_error(self, equation):
+        # a '*' never stands alone: dropping it would read both as x^3 + 3
+        proc = run_module("curve", "weights", equation)
+        _assert_one_error_line(proc, "syntax")
+        assert proc.stderr.startswith("error[syntax]: expected x after '*', found ")
 
     @pytest.mark.parametrize("equation", ["y^2 = 0", "y^2 = x^3 - x^3"])
     def test_zero_right_side_is_invalid_curve(self, equation):

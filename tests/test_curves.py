@@ -114,6 +114,23 @@ class TestModelValidation:
         E2.check_place(Place.ordinary(2, 3))
         E2.check_place(Place.branch(-1))
 
+    @pytest.mark.parametrize("x0", ["-1/2", "0", "1/2"])
+    def test_branch_place_with_denominator_passes(self, x0):
+        # y^2 = x^3 - x/4: the integer test at x0 = p/q reads q^3 f(p/q)
+        place = Place.branch(Fraction(x0))
+        HALF_ROOTS.check_place(place)
+        assert order_sequence_at(HALF_ROOTS, build_basis(HALF_ROOTS, 2), place).orders == (0, 1, 2)
+
+    @pytest.mark.parametrize("x0", ["1/3", "-3/2", "2"])
+    def test_branch_place_off_the_roots_is_refused(self, x0):
+        place = Place.branch(Fraction(x0))
+        message = f"({x0}, 0) is not a branch place: f(x0) != 0"
+        with pytest.raises(NotOnCurveError) as direct:
+            HALF_ROOTS.check_place(place)
+        with pytest.raises(NotOnCurveError) as raised:
+            order_sequence_at(HALF_ROOTS, build_basis(HALF_ROOTS, 2), place)
+        assert str(direct.value) == str(raised.value) == message
+
 
 class TestBasis:
     def test_g2_i2(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -540,6 +541,15 @@ class TestSeries:
         assert prod.coefficient(1) == 0
         assert prod.coefficient(2) == 0
 
+    @pytest.mark.parametrize("prec", [0, -1])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_newton_rejects_a_precision_below_one(self, prec, exact):
+        # no window of fewer than one coefficient is taken, exact input or not
+        s = Series(0, [1, 2, 3], exact=exact)
+        for fn in (series_invert, series_sqrt):
+            with pytest.raises(ValueError, match="^precision must be positive$"):
+                fn(s, prec)
+
     def test_invert_zero_window_errors(self):
         with pytest.raises(CannotDetermineValuationError):
             series_invert(Series(3, ()))
@@ -776,6 +786,32 @@ class TestIntegerKernels:
     def test_root_multiplicity_of_planted_roots(self, base, x0, m):
         # (q x - p)^m with x0 = p/q, on top of whatever base contributes
         p = base * UniPoly([-x0.numerator, x0.denominator]) ** m
+        got = p.root_multiplicity(x0)
+        assert got >= m and got == _root_multiplicity_by_division(p, x0)
+        assert p.root_multiplicity(x0 + 1) == _root_multiplicity_by_division(p, x0 + 1)
+
+    @pytest.mark.parametrize("x0", ["1/2", "-1/2", "1/3", "-2/3", "3/2", "-5/4"])
+    def test_root_multiplicity_with_denominator_on_small_coefficients(self, x0):
+        # small carries are where a remainder of the division by q hides:
+        # 2x + 1 is not divisible by 3x - 1 although floor(2/3) = floor(1/3) = 0
+        x0 = Fraction(x0)
+        lin = UniPoly([-x0.numerator, x0.denominator])
+        for cs in itertools.product(range(-2, 3), repeat=4):
+            if cs[-1]:
+                for p in (UniPoly(cs), UniPoly(cs) * lin):
+                    assert p.root_multiplicity(x0) == _root_multiplicity_by_division(p, x0)
+
+    @given(
+        st.lists(kernel_coeffs, min_size=40, max_size=47).map(lambda cs: UniPoly(cs + [1])),
+        points.filter(lambda x0: x0.denominator > 1),
+        st.integers(0, 6),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_root_multiplicity_with_denominator_on_long_polys(self, base, x0, m):
+        # a root p/q with q >= 2 takes the divmod branch of the synthetic
+        # division on every pass, on degree 40 and up
+        p = base * UniPoly([-x0.numerator, x0.denominator]) ** m
+        assert p.degree >= 40
         got = p.root_multiplicity(x0)
         assert got >= m and got == _root_multiplicity_by_division(p, x0)
         assert p.root_multiplicity(x0 + 1) == _root_multiplicity_by_division(p, x0 + 1)
