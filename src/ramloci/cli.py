@@ -1,5 +1,11 @@
 """Command-line front end: parse curves, run suites, emit reports.
 
+Each command (``cmd_verify``, ``cmd_curve``) computes and writes
+nothing: it returns ``(record, rows, exit_code)``, where ``record`` is
+the JSON document and ``rows`` the lines of the text formats.  ``main``
+hands both to ``_render``, the one writer of a report, which prints
+indented JSON or joins each row by a tab (tsv) or a space (pretty).
+
 Exit codes: 0 all checks passed, 1 verification failure, 2 usage or
 configuration error or a closed standard output, 3 inconclusive
 (precision cap or an internal consistency stop).  Output is
@@ -69,9 +75,9 @@ def _tokenize(text: str):
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: int() would read other digits too
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
             if pos - start > MAX_DIGITS:
                 raise CurveSyntaxError(
@@ -250,64 +256,10 @@ def _parse_span(text: str, name: str):
 
 
 # ---------------------------------------------------------------------------
-# Rendering
+# Commands: each returns (record, rows, exit_code) and writes nothing
 
 
-def _emit(text: str, out):
-    out.write(text)
-    if not text.endswith("\n"):
-        out.write("\n")
-
-
-def _render_verify(reports, g_span, i_span, fmt: str, out) -> None:
-    if fmt == "json":
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "suite": "verify",
-            "grid": {"g": list(g_span), "i": list(i_span)},
-            "cases": [r.to_json_dict() for r in reports],
-            "passed": all(r.verdict for r in reports),
-        }
-        _emit(json.dumps(doc, indent=2), out)
-    elif fmt == "tsv":
-        for r in reports:
-            size = "x".join(map(str, r.grid_size)) if r.grid_size else "symbolic"
-            _emit(
-                "\t".join(
-                    [r.name, "pass" if r.verdict else "fail", size, str(len(r.failures))]
-                ),
-                out,
-            )
-    else:
-        width = max(len(r.name) for r in reports)
-        for r in reports:
-            status = "PASS" if r.verdict else "FAIL"
-            size = (
-                f"grid {r.grid_size[0]}x{r.grid_size[1]}" if r.grid_size else "symbolic"
-            )
-            _emit(f"[{status}] {r.name:<{width}}  {size}", out)
-            for g, i, engine, closed in r.failures[:5]:
-                _emit(f"       at (g={g}, i={i}): engine {engine} != closed {closed}", out)
-        n_pass = sum(1 for r in reports if r.verdict)
-        _emit(f"{n_pass}/{len(reports)} cases passed", out)
-
-
-def _json_or_pretty(doc: dict, lines, config_fmt: str, out) -> None:
-    if config_fmt == "json":
-        _emit(json.dumps(doc, indent=2), out)
-    elif config_fmt == "tsv":
-        for row in lines:
-            _emit("\t".join(str(c) for c in row), out)
-    else:
-        for row in lines:
-            _emit(" ".join(str(c) for c in row), out)
-
-
-# ---------------------------------------------------------------------------
-# Commands
-
-
-def cmd_verify(args, out) -> int:
+def cmd_verify(args):
     g_min, g_max = _parse_span(args.g, "g")
     i_min, i_max = _parse_span(args.i, "i")
     if not 1 <= g_min <= g_max:
@@ -326,11 +278,35 @@ def cmd_verify(args, out) -> int:
     )
     if not reports:
         raise ConfigError(f"no cases match filter {args.filter!r}")
-    _render_verify(reports, (g_min, g_max), (i_min, i_max), args.format, out)
-    return 0 if all(r.verdict for r in reports) else 1
+    passed = all(r.verdict for r in reports)
+    record = {
+        "schema": SCHEMA_VERSION,
+        "suite": "verify",
+        "grid": {"g": [g_min, g_max], "i": [i_min, i_max]},
+        "cases": [r.to_json_dict() for r in reports],
+        "passed": passed,
+    }
+    if args.format == "tsv":
+        rows = [
+            (r.name, "pass" if r.verdict else "fail",
+             "x".join(map(str, r.grid_size)) if r.grid_size else "symbolic", len(r.failures))
+            for r in reports
+        ]
+    else:  # pretty, one cell a row; json reads only the record
+        width = max(len(r.name) for r in reports)
+        rows = []
+        for r in reports:
+            size = f"grid {r.grid_size[0]}x{r.grid_size[1]}" if r.grid_size else "symbolic"
+            rows.append((f"[{'PASS' if r.verdict else 'FAIL'}] {r.name:<{width}}  {size}",))
+            rows += [
+                (f"       at (g={g}, i={i}): engine {engine} != closed {closed}",)
+                for g, i, engine, closed in r.failures[:5]
+            ]
+        rows.append((f"{sum(1 for r in reports if r.verdict)}/{len(reports)} cases passed",))
+    return record, rows, 0 if passed else 1
 
 
-def cmd_curve(args, out) -> int:
+def cmd_curve(args):
     min_i = 1 if args.curve_cmd == "torsion" else 0
     if not min_i <= args.i <= MAX_TWIST:
         raise ConfigError(
@@ -339,83 +315,58 @@ def cmd_curve(args, out) -> int:
     if args.place is not None and args.curve_cmd != "orders":
         raise ConfigError("--place applies only to curve orders")
     model = parse_curve(args.model, require_split=args.require_split)
-    fmt = args.format
-    equation = f"y^2 = {model.f}"
+    i, code = args.i, 0
+    record = {"schema": SCHEMA_VERSION, "command": args.curve_cmd, "model": f"y^2 = {model.f}"}
     if args.curve_cmd == "basis":
-        basis = build_basis(model, args.i)
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "basis",
-            "model": equation,
-            "genus": model.genus,
-            "i": args.i,
-            "dimension": len(basis),
-            "monomials": list(basis.monomial_names()),
-            "pole_orders": list(basis.pole_orders),
-        }
-        lines = [("monomial", "pole_order")] if fmt == "tsv" else []
-        lines += list(zip(basis.monomial_names(), basis.pole_orders))
-        _json_or_pretty(doc, lines, fmt, out)
-        return 0
-    if args.curve_cmd == "orders":
+        basis = build_basis(model, i)
+        names = list(basis.monomial_names())
+        record.update(
+            genus=model.genus,
+            i=i,
+            dimension=len(basis),
+            monomials=names,
+            pole_orders=list(basis.pole_orders),
+        )
+        rows = [("monomial", "pole_order")] if args.format == "tsv" else []
+        rows += zip(names, basis.pole_orders)
+    elif args.curve_cmd == "orders":
         if not args.place:
             raise ConfigError("orders needs --place")
         place = _parse_place(model, args.place)
-        basis = build_basis(model, args.i)
-        seq = order_sequence_at(model, basis, place)
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "orders",
-            "model": equation,
-            "i": args.i,
-            "place": str(place),
-            "orders": list(seq.orders),
-            "weight": seq.weight,
-        }
-        lines = [
-            ("place", str(place)),
-            ("orders", ", ".join(map(str, seq.orders))),
-            ("weight", seq.weight),
-        ]
-        _json_or_pretty(doc, lines, fmt, out)
-        return 0
-    if args.curve_cmd == "weights":
-        report = total_weight(model, args.i)
+        seq = order_sequence_at(model, build_basis(model, i), place)
+        record.update(i=i, place=str(place), orders=list(seq.orders), weight=seq.weight)
+        rows = [("place", place), ("orders", ", ".join(map(str, seq.orders))), ("weight", seq.weight)]
+    elif args.curve_cmd == "weights":
+        report = total_weight(model, i)
         entries = [
             {"place": str(place), "orders": list(seq.orders), "weight": seq.weight}
             for place, seq in report.entries
         ]
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "weights",
-            "model": equation,
-            "i": args.i,
-            "entries": entries,
-            "remainder": report.remainder,
-            "remainder_ordinary": report.remainder_ordinary,
-            "remainder_branch": report.remainder_branch,
-            "total": report.total,
-        }
-        lines = [(e["place"], f"orders ({', '.join(map(str, e['orders']))})", f"weight {e['weight']}") for e in entries]
-        lines.append(("remainder", report.remainder, ""))
-        lines.append(("total", report.total, ""))
-        _json_or_pretty(doc, lines, fmt, out)
-        return 0
-    if args.curve_cmd == "torsion":
-        verdict = torsion_check(model, args.i)
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "torsion",
-            "model": equation,
-            "j": args.i,
-            "torsion_order": args.i + 1,
-            "verdict": "pass" if verdict else "fail",
-        }
-        _json_or_pretty(
-            doc, [("torsion_order", args.i + 1), ("verdict", "pass" if verdict else "fail")], fmt, out
+        record.update(
+            i=i,
+            entries=entries,
+            remainder=report.remainder,
+            remainder_ordinary=report.remainder_ordinary,
+            remainder_branch=report.remainder_branch,
+            total=report.total,
         )
-        return 0 if verdict else 1
-    raise ConfigError(f"unknown curve subcommand {args.curve_cmd!r}")
+        rows = [(e["place"], f"orders ({', '.join(map(str, e['orders']))})", f"weight {e['weight']}") for e in entries]
+        rows += [("remainder", report.remainder, ""), ("total", report.total, "")]
+    else:  # torsion: argparse admits no other subcommand
+        verdict = "pass" if torsion_check(model, i) else "fail"
+        code = 0 if verdict == "pass" else 1
+        record.update(j=i, torsion_order=i + 1, verdict=verdict)
+        rows = [("torsion_order", i + 1), ("verdict", verdict)]
+    return record, rows, code
+
+
+def _render(record: dict, rows, fmt: str, out) -> None:
+    """Write a command's report: the record as JSON, or its rows as text."""
+    if fmt == "json":
+        out.write(json.dumps(record, indent=2) + "\n")
+    else:
+        sep = "\t" if fmt == "tsv" else " "
+        out.write("".join(sep.join(map(str, row)) + "\n" for row in rows))
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -463,7 +414,8 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = cmd_verify(args, out) if args.command == "verify" else cmd_curve(args, out)
+        record, rows, code = (cmd_verify if args.command == "verify" else cmd_curve)(args)
+        _render(record, rows, args.format, out)
         out.flush()
         return code
     except RamlociError as exc:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -119,12 +120,44 @@ CURVE_GOLDEN = (
         for place in CUBIC_PLUS_ONE_PLACES
         for i in range(6)
     ]
+    # every subcommand in every format: basis in all three, the rest in
+    # the text formats the tables above leave out
+    + [
+        (f"curve_basis_{name}_i{i}.{fmt}", ("basis", GOLDEN_CURVES[name], "--i", str(i), "--format", fmt))
+        for name in ("split-genus2", "nonsplit-genus3")
+        for i in (0, 2)
+        for fmt in ("json", "tsv", "pretty")
+    ]
+    + [
+        (f"curve_weights_{name}_i{i}.{fmt}", ("weights", model, "--i", str(i), "--format", fmt))
+        for name, model in GOLDEN_CURVES.items()
+        for i in range(3)
+        for fmt in ("tsv", "pretty")
+    ]
+    + [
+        (f"curve_torsion_nonsplit-elliptic_i{j}.{fmt}",
+         ("torsion", GOLDEN_CURVES["nonsplit-elliptic"], "--i", str(j), "--format", fmt))
+        for j in (1, 2)
+        for fmt in ("tsv", "pretty")
+    ]
+    + [
+        # a branch place, the place at infinity and an ordinary place
+        (f"curve_orders_{name}_i2_place{place}.tsv",
+         ("orders", model, "--i", "2", f"--place={place}", "--format", "tsv"))
+        for name, model, place in (
+            ("split-genus2", GOLDEN_CURVES["split-genus2"], "0"),
+            ("cubic-plus-one", CUBIC_PLUS_ONE, "inf"),
+            ("cubic-plus-one", CUBIC_PLUS_ONE, "0,1"),
+        )
+    ]
 )
 
 
 def _assert_one_error_line(proc, code):
-    """The CLI contract: exit 2 and a single error[code] line, no traceback."""
+    """The CLI contract: exit 2, a single error[code] line, no traceback
+    and no partial report."""
     assert proc.returncode == 2
+    assert proc.stdout in ("", None)  # None: stdout was a pipe, not captured
     assert proc.stderr.startswith(f"error[{code}]: ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
@@ -187,6 +220,10 @@ class TestParseCurve:
             ("y^2 = x^3 + 2*1", "expected x after '*', found '1' (at position 14)"),
             ("y^2 = x^3 - 1/2**x", "expected x after '*', found '*' (at position 16)"),
             ("y^2 = x^3 + 2*y", "y may only appear on the left side (at position 14)"),
+            # only ASCII digits make a number
+            ("y^2 = x^³ + 1", "unexpected character '³' (at position 8)"),
+            ("y^2 = x^3 + ²*x + 1", "unexpected character '²' (at position 12)"),
+            ("y^2 = x^3 + ٣", "unexpected character '٣' (at position 12)"),
         ],
     )
     def test_syntax_error_messages(self, equation, message):
@@ -518,6 +555,12 @@ class TestCurveCommand:
         _assert_one_error_line(proc, "syntax")
         assert proc.stderr.startswith("error[syntax]: expected x after '*', found ")
 
+    @pytest.mark.parametrize("equation", ["y^2 = x^³ + 1", "y^2 = x^3 + ²*x + 1"])
+    def test_non_ascii_digit_is_syntax_error(self, equation):
+        proc = run_module("curve", "weights", equation)
+        _assert_one_error_line(proc, "syntax")
+        assert proc.stderr.startswith("error[syntax]: unexpected character ")
+
     @pytest.mark.parametrize("equation", ["y^2 = 0", "y^2 = x^3 - x^3"])
     def test_zero_right_side_is_invalid_curve(self, equation):
         proc = run_module("curve", "weights", equation)
@@ -624,3 +667,16 @@ def test_python_dash_m_entry_point():
     proc = run_module("verify", "--filter", "identity_a")
     assert proc.returncode == 0, proc.stderr
     assert "1/1 cases passed" in proc.stdout
+
+
+# The lines of README's CLI block, without the program name and comments.
+README_CLI_BLOCK = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("## CLI")[1].split("```")[1]
+README_COMMANDS = [
+    shlex.split(line, comments=True)[1:] for line in README_CLI_BLOCK.splitlines() if line.startswith("ramloci ")
+]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[" ".join(a[:2]) for a in README_COMMANDS])
+def test_readme_commands_run(argv):
+    code, text = run_cli(*argv)
+    assert code == 0 and text
