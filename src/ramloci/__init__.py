@@ -46,11 +46,9 @@ from .formulas import (
 )
 from .numeric import (
     ParamPoly,
-    Rational,
     Series,
     UniPoly,
     bareiss_det,
-    poly_eval,
     series_invert,
     series_sqrt,
 )
@@ -89,11 +87,9 @@ __all__ = [
     "certify",
     "run_suite",
     "ParamPoly",
-    "Rational",
     "Series",
     "UniPoly",
     "bareiss_det",
-    "poly_eval",
     "series_invert",
     "series_sqrt",
     "parse_curve",

@@ -53,7 +53,7 @@ _FORMATS = ("json", "tsv", "pretty")
 # on int conversion from a string (4300 digits).
 MAX_DEGREE = 31  # largest exponent of x in a curve equation (genus 15)
 MAX_TWIST = 32  # largest curve --i
-MAX_DIGITS = 1000  # longest integer literal in a curve equation
+MAX_DIGITS = 1000  # longest integer literal in any command-line number
 # Largest verify --g and --i.  The identities are proved symbolically;
 # the grid only sizes the report rows, and the full 1..16 x 0..16 grid
 # runs in about 0.01 s in-process after import, engine build included
@@ -208,9 +208,25 @@ def parse_curve(text: str, require_split: bool = False) -> HyperellipticModel:
     return model
 
 
-# A place coordinate: optional sign, digits, optional /digits, each
-# literal capped like a curve literal.
-_COORDINATE = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
+# A command-line integer: optional sign and ASCII digits, capped like a
+# curve literal (int() alone also reads other Unicode digits and "1_0");
+# a place coordinate is such an integer with an optional /digits.
+_INTEGER = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}")
+_COORDINATE = re.compile(rf"{_INTEGER.pattern}(/[0-9]{{1,{MAX_DIGITS}}})?")
+
+
+def _integer(text: str):
+    """The integer ``text`` spells after ``strip()``, or None."""
+    text = text.strip()
+    return int(text) if _INTEGER.fullmatch(text) else None
+
+
+def _twist(text: str) -> int:
+    """argparse type of ``curve --i``, refusing as argparse words ``type=int``."""
+    value = _integer(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _parse_place(model: HyperellipticModel, text: str) -> Place:
@@ -242,17 +258,10 @@ def _parse_place(model: HyperellipticModel, text: str) -> Place:
 
 
 def _parse_span(text: str, name: str):
-    parts = text.split("..")
-    try:
-        if len(parts) == 1:
-            lo = hi = int(parts[0])
-        elif len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-        else:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"cannot parse --{name} span {text!r}; use A or A..B") from None
-    return lo, hi
+    parts = [_integer(p) for p in text.split("..")]
+    if len(parts) > 2 or None in parts:
+        raise ConfigError(f"cannot parse --{name} span {text!r}; use A or A..B")
+    return parts[0], parts[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     curve._negative_number_matcher = re.compile(r"^-[\d.]")
     curve.add_argument("curve_cmd", choices=("basis", "orders", "weights", "torsion"))
     curve.add_argument("model", help='curve equation, e.g. "y^2 = x^3 - x"')
-    curve.add_argument("--i", type=int, default=0, help="twist index (torsion order minus one for torsion)")
+    curve.add_argument("--i", type=_twist, default=0, help="twist index (torsion order minus one for torsion)")
     curve.add_argument("--place", default=None, help='place: "inf", "x0" (branch), or "x0,y0"')
     curve.add_argument("--format", choices=_FORMATS, default="pretty")
     curve.add_argument("--require-split", action="store_true")

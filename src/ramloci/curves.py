@@ -588,8 +588,8 @@ def affine_wronskian(model: HyperellipticModel, basis: MonomialBasis) -> CurveFu
         shared = num.gcd(f)
         if shared.degree == 0:
             break
-        num = num.exact_div(shared)
-        den = den * f.exact_div(shared)
+        num = num / shared
+        den = den * (f / shared)
         e -= 1
     return CurveFunction(model, num * c, k % 2, den * f**e)
 
@@ -760,7 +760,7 @@ def _strip_branch_factors(p: UniPoly, f: UniPoly) -> UniPoly:
         shared = q.gcd(f)
         if shared.degree <= 0:
             return q
-        q = q.exact_div(shared)
+        q = q / shared
 
 
 def torsion_check(model: HyperellipticModel, j: int) -> bool:

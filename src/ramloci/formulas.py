@@ -38,9 +38,6 @@ class ClosedForm(NamedTuple):
     degree_bound: tuple[int, int]
     anchor: str
 
-    def __call__(self, g, i) -> Fraction:
-        return self.expr(g, i)
-
 
 _BOUND = (8, 8)
 

@@ -4,7 +4,7 @@ Everything is computed over Q with ``fractions.Fraction`` as the scalar;
 there are no floating-point modes and no algebraic extensions.  The four
 value types are:
 
-* ``Fraction``        -- the base scalar (re-exported as ``Rational``),
+* ``Fraction``        -- the base scalar,
 * ``ParamPoly``       -- sparse polynomial in the two formal parameters
                          (g, i), used for closed-form counting formulas,
 * ``UniPoly``         -- dense univariate polynomial over Q,
@@ -34,16 +34,17 @@ Chow-ring and bundle calculus therefore runs on integers, and
 ``ParamPoly.grid_values`` builds one ``Fraction`` per grid point.  A
 ``UniPoly`` or ``Series`` product is one call of the integer kernel
 ``_kernels.convolve`` on the stored numerators.  Polynomial division
-(``exact_div``, ``divmod`` and the pseudo-remainders of ``gcd``) is one
-integer long-division loop, ``_long_div``; exact division divides by the
+(``/`` and the pseudo-remainders of ``gcd``) is one integer
+long-division loop, ``_long_div``; ``/`` is exact division, by the
 primitive part of the divisor, which stays over Z by Gauss's lemma, so
 fraction-free Bareiss runs over Z[x].  ``root_multiplicity`` divides by
 the primitive q x - p for x0 = p/q with ``_divide_linear``, a synthetic
 division over Z with one carry and no list slices.  ``gcd`` runs its
 pseudo-remainder sequence only when the integer gcd of the inputs'
 values at a large power of two does not prove them coprime.
-``poly_on_series`` (the inner loop of every local expansion) is Horner's
-rule on ``Series`` objects with the integer numerators of the polynomial.  The Newton loops of
+``poly_on_series`` serves only ``expand_at``, on the numerator and
+denominator of a function: Horner's rule on ``Series`` objects with the
+integer numerators of the polynomial.  The Newton loops of
 ``series_invert`` and ``series_sqrt`` carry one integer list over one
 denominator, removing its content at every step.
 
@@ -67,8 +68,6 @@ from .errors import (
     NotASquareError,
     PrecisionExhaustedError,
 )
-
-Rational = Fraction
 
 _INF = math.inf
 
@@ -406,7 +405,8 @@ class ParamPoly(_Exact, Value):
         return dg, di
 
     def __call__(self, g, i) -> Fraction:
-        return poly_eval(self, g, i)
+        """Exact value at integer (or rational) arguments."""
+        return self.grid_values([Fraction(g)], [Fraction(i)])[0]
 
     def grid_values(self, g_points, i_points) -> list[Fraction]:
         """Exact values at every (g, i) of the grid, g-major, by one inline
@@ -461,11 +461,6 @@ class ParamPoly(_Exact, Value):
 
 
 _ZERO = ParamPoly()
-
-
-def poly_eval(p: ParamPoly, g, i) -> Fraction:
-    """Exact value of p at integer (or rational) arguments."""
-    return p.grid_values([Fraction(g)], [Fraction(i)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -557,24 +552,6 @@ class UniPoly(_Exact, Value):
 
     __pow__ = _power
 
-    def __divmod__(self, other):
-        """Quotient and remainder over Q: the numerators, scaled by
-        lead^(dq+1) so that every step of the integer long division is
-        exact, are divided by other's; the scale goes into den."""
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        dq = len(self.nums) - len(other.nums)
-        if dq < 0:
-            return UniPoly(), self
-        scale = other.nums[-1] ** (dq + 1)
-        quo, rem = _long_div([c * scale for c in self.nums], other.nums)
-        den = self.den * scale
-        quo = UniPoly.from_numerators([c * other.den for c in quo], den)
-        return quo, UniPoly.from_numerators(rem, den)
-
     def __truediv__(self, other):
         """Quotient self/other, raising if the division is not exact.  The
         numerators are divided by the primitive part of other's, which by
@@ -589,10 +566,6 @@ class UniPoly(_Exact, Value):
         if out is None or any(out[1]):
             raise ValueError("inexact polynomial division")
         return UniPoly.from_numerators([c * other.den for c in out[0]], self.den * content)
-
-    def exact_div(self, other) -> "UniPoly":
-        """``self / other``: TypeError unless other is a UniPoly, int or Fraction."""
-        return self / other
 
     def __hash__(self):
         # a constant hashes as its value, since it equals that int or Fraction
@@ -640,7 +613,7 @@ class UniPoly(_Exact, Value):
         """Monic product of the distinct irreducible factors."""
         if self.degree <= 0:
             return UniPoly.const(1) if not self.is_zero() else self
-        return self.exact_div(self.gcd(self.derivative())).monic()
+        return (self / self.gcd(self.derivative())).monic()
 
     def is_squarefree(self) -> bool:
         return self.degree <= 0 or self.gcd(self.derivative()).degree == 0
@@ -678,26 +651,6 @@ class UniPoly(_Exact, Value):
         while len(nums) > 1 and (quo := _divide_linear(nums, p, q)) is not None:
             nums, m = quo, m + 1
         return m
-
-    def rational_roots(self):
-        """All rational roots, with multiplicity, as a sorted list of
-        pairs (root, multiplicity): the roots of the squarefree part,
-        each with its multiplicity in p."""
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        p = self
-        roots = []
-        # factor out x^k first
-        k = 0
-        while not p.nums[k]:
-            k += 1
-        if k:
-            p = UniPoly.from_numerators(p.nums[k:], p.den)
-            roots.append((Fraction(0), k))
-        if p.degree >= 1:
-            for cand in p.squarefree_part().simple_rational_roots():
-                roots.append((cand, p.root_multiplicity(cand)))
-        return sorted(roots)
 
     def simple_rational_roots(self) -> list[Fraction]:
         """Sorted rational roots of a squarefree polynomial of positive
@@ -824,10 +777,6 @@ class Series(_Exact, Value):
     @classmethod
     def zero(cls) -> "Series":
         return cls.from_numerators(0, (), 1, True)
-
-    @classmethod
-    def constant(cls, c) -> "Series":
-        return cls(0, [c], exact=True)
 
     @classmethod
     def monomial(cls, e: int, c=1) -> "Series":

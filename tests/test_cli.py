@@ -317,6 +317,33 @@ class TestVerifySpans:
         assert capsys.readouterr().err.startswith("error[usage]: ")
 
 
+class TestCommandLineNumbers:
+    """Every number on the command line follows one rule: an optional sign
+    and the ASCII digits 0-9, after stripping surrounding spaces."""
+
+    @pytest.mark.parametrize(
+        "option, span", [("--g", "١..٣"), ("--g", " 1_0 .. 1_1"), ("--i", "٠..2")]
+    )
+    def test_other_digits_in_a_span_are_config_error(self, option, span):
+        proc = run_module("verify", option, span, timeout=20)
+        _assert_one_error_line(proc, "config")
+        assert proc.stderr == f"error[config]: cannot parse {option} span {span!r}; use A or A..B\n"
+
+    @pytest.mark.parametrize("i", ["١", "1_0", "²"])
+    def test_other_digits_in_curve_twist_are_usage_error(self, i):
+        proc = run_module("curve", "weights", "y^2 = x^3 - x", "--i", i, "--format", "tsv", timeout=20)
+        _assert_one_error_line(proc, "usage")
+        assert proc.stderr == f"error[usage]: argument --i: invalid int value: {i!r}\n"
+
+    def test_ascii_spellings_read_as_before(self, capsys):
+        assert run_cli("verify", "--g", "+1..9", "--format", "tsv") == run_cli("verify", "--format", "tsv")
+        weights = ("curve", "weights", "y^2 = x^3 - x", "--format", "tsv")
+        assert run_cli(*weights, "--i", " 2") == run_cli(*weights, "--i", "+2") == run_cli(*weights, "--i", "2")
+        capsys.readouterr()
+        assert run_cli("verify", "--i=-1..3") == (2, "")
+        assert capsys.readouterr().err == "error[config]: need 0 <= i_min <= i_max, got -1..3\n"
+
+
 class TestVerifyCommand:
     def test_full_suite_json(self):
         code, text = run_cli("verify", "--g", "1..9", "--i", "0..8", "--format", "json")

@@ -998,7 +998,7 @@ class TestWronskian:
             wron = affine_wronskian(model, build_basis(model, j))
             norm = wron.num * wron.num * (-f) ** wron.k
             while (shared := norm.gcd(f)).degree > 0:
-                norm = norm.exact_div(shared)
+                norm = norm / shared
             ordinary = _strip_branch_factors(wron.num, f).squarefree_part()
             assert ordinary.monic() == norm.squarefree_part().monic(), j
 

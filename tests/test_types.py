@@ -264,11 +264,9 @@ PUBLIC_NAMES = [
     "certify",
     "run_suite",
     "ParamPoly",
-    "Rational",
     "Series",
     "UniPoly",
     "bareiss_det",
-    "poly_eval",
     "series_invert",
     "series_sqrt",
     "parse_curve",
