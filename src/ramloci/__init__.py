@@ -20,8 +20,9 @@ from .bundles import (
     porteous_c2,
     pushforward_c1,
     special_ramification_class,
+    weierstrass_class,
 )
-from .chow import ChowClass, ChowRing, chow_integrate, chow_mul, weierstrass_class
+from .chow import ChowClass, ChowRing, chow_integrate, chow_mul
 from .curves import (
     DX_OVER_Y,
     HyperellipticModel,

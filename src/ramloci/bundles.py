@@ -1,35 +1,25 @@
-"""Chern-class calculus for the bundles living on C x C.
+"""Chern-class calculus for the bundles and divisors living on C x C.
 
-Covers the three ingredients the counting formulas need: first Chern
-classes of the pushforwards of the twisted relative canonical bundles
-(``pushforward_c1``, defined in ``chow`` next to the Weierstrass class
-that uses it), total Chern classes of the relative jet bundles (as
-power sums over their truncation filtration), and the Porteous class of
-an expected-codimension-2, rank-drop-1 degeneracy locus.  Everything is
+Covers the four ingredients the counting formulas need: first Chern
+classes of the pushforwards of the twisted relative canonical bundles,
+total Chern classes of the relative jet bundles (as power sums over
+their truncation filtration m*K2 + (i+1)*Delta), the Weierstrass
+divisor class built from both, and the Porteous class of an
+expected-codimension-2, rank-drop-1 degeneracy locus.  Everything is
 specialised through a ``ChowRing``, either to a concrete genus or to
 the formal genus g, with the twist i and the jet order concrete or
-formal to match.
+formal to match.  A class formula takes the classes it is built from
+as required arguments, so a caller builds each of them once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .chow import (
-    DELTA,
-    K2,
-    ChowClass,
-    ChowRing,
-    check_nonnegative,
-    chow_mul,
-    jet_c1,
-    power_sum,
-    pushforward_c1,
-    weierstrass_class,
-)
+from .chow import DELTA, K1, K2, ChowClass, ChowRing, chow_mul
 from .numeric import Value
 
-
+_HALF = Fraction(1, 2)
 _ZERO = ChowClass()
 
 
@@ -53,10 +43,6 @@ class ChernPoly(Value):
     def __repr__(self):
         return f"ChernPoly({self.ring!r}, c1={self.c1!r}, c2={self.c2!r})"
 
-    @classmethod
-    def of_line_bundle(cls, ring: ChowRing, c1: ChowClass) -> "ChernPoly":
-        return cls(ring, c1=c1.degree1_part())
-
     def __mul__(self, other: "ChernPoly") -> "ChernPoly":
         if self.ring != other.ring:
             raise ValueError("mixed rings")
@@ -67,6 +53,37 @@ class ChernPoly(Value):
         """Formal inverse 1 - c1 + (c1^2 - c2) in the truncated ring."""
         sq = chow_mul(self.ring, self.c1, self.c1)
         return ChernPoly(self.ring, c1=-self.c1, c2=sq - self.c2)
+
+
+def check_nonnegative(**indices) -> None:
+    """Reject a negative concrete index; formal indices pass."""
+    for name, value in indices.items():
+        if isinstance(value, int) and value < 0:
+            raise ValueError(f"{name} must be nonnegative")
+
+
+def power_sum(n):
+    """1 + 2 + ... + n, for a concrete or a formal n."""
+    return n * (n + 1) * _HALF
+
+
+def pushforward_c1(ring: ChowRing, j) -> ChowClass:
+    """First Chern class (pulled back to C x C) of the pushforward of the
+    j-twisted relative canonical bundle.
+
+    The recursion steps c1 -> c1 - m K1, m = 1..j, from the free bundle
+    at j = 0 sum to -(1/2)j(j+1) K1.
+    """
+    check_nonnegative(j=j)
+    return -power_sum(j) * K1
+
+
+def jet_c1(i, ell) -> ChowClass:
+    """First Chern class of the order-ell relative jet bundle of the
+    (i+1)-fold diagonal twist of the relative canonical bundle: the sum
+    of its n = ell+1 filtration factors m*K2 + (i+1)*Delta, m = 1..n."""
+    n = ell + 1
+    return power_sum(n) * K2 + (n * (i + 1)) * DELTA
 
 
 def jet_chern(ring: ChowRing, i, ell) -> ChernPoly:
@@ -83,8 +100,20 @@ def jet_chern(ring: ChowRing, i, ell) -> ChernPoly:
     check_nonnegative(i=i, ell=ell)
     c1 = jet_c1(i, ell)
     squares = chow_mul(ring, (i + 1) * DELTA, c1 + power_sum(ell + 1) * K2)
-    c2 = (chow_mul(ring, c1, c1) - squares).scale(Fraction(1, 2))
+    c2 = (chow_mul(ring, c1, c1) - squares).scale(_HALF)
     return ChernPoly(ring, c1=c1, c2=c2)
+
+
+def weierstrass_class(ring: ChowRing, j) -> ChowClass:
+    """Class of the j-th Weierstrass divisor of the family of twisted
+    canonical systems, as a divisor on C x C.
+
+    Derived as W_j = c1(J^{g+j-1}) - c1(E_j) - g*Delta: the wronskian of
+    the evaluation map from the pushforward E_j to the jet bundle of
+    order g+j-1, which vanishes on the diagonal with weight exactly g.
+    """
+    g = ring.genus
+    return jet_c1(j, g + j - 1) - pushforward_c1(ring, j) - g * DELTA
 
 
 def porteous_c2(a: ChernPoly, b: ChernPoly) -> ChowClass:
@@ -96,23 +125,17 @@ def porteous_c2(a: ChernPoly, b: ChernPoly) -> ChowClass:
     return (a * b.inverse()).c2
 
 
-def moving_locus_class(ring: ChowRing, i, jets: ChernPoly | None = None) -> ChowClass:
+def moving_locus_class(ring: ChowRing, i, jets: ChernPoly) -> ChowClass:
     """Porteous class of the pairs (P, Q), diagonal included, where the
     twisted system at P has extra sections vanishing to high order at Q
-    (a moving effective divisor condition).  ``jets`` is the caller's
-    jet_chern(ring, i, g+i), if it already has it."""
-    check_nonnegative(i=i)
-    if jets is None:
-        jets = jet_chern(ring, i, ring.genus + i)
-    pulled_back = ChernPoly.of_line_bundle(ring, pushforward_c1(ring, i))
-    return porteous_c2(jets, pulled_back)
+    (a moving effective divisor condition), from the jet bundle
+    ``jets`` = jet_chern(ring, i, g+i)."""
+    return porteous_c2(jets, ChernPoly(ring, c1=pushforward_c1(ring, i)))
 
 
-def special_ramification_class(ring: ChowRing, i, w: ChowClass | None = None) -> ChowClass:
-    """Class of the special-ramification locus: c2 of the rank-2 bundle
-    of first-order relative jets with coefficients in the i-th
-    Weierstrass divisor, i.e. W * (K2 + W).  ``w`` is the caller's
-    weierstrass_class(ring, i), if it already has it."""
-    if w is None:
-        w = weierstrass_class(ring, i)
+def special_ramification_class(ring: ChowRing, w: ChowClass) -> ChowClass:
+    """Class of the special-ramification locus of the Weierstrass divisor
+    ``w`` = weierstrass_class(ring, i): c2 of the rank-2 bundle of
+    first-order relative jets with coefficients in O(w), i.e.
+    w * (K2 + w)."""
     return chow_mul(ring, w, K2 + w)

@@ -16,6 +16,8 @@ curve of genus g:
 
 Degree-3 parts vanish identically on a surface, so the type has no slot
 for them.  ``ChowClass`` and ``ChowRing`` are immutable ``Value``s.
+This module is the ring alone; the classes of bundles and divisors on
+C x C are built in ``bundles``.
 
 The coefficients may come from any commutative ring that mixes with the
 integers: ``int``/``Fraction`` for a concrete genus, or ``ParamPoly``
@@ -25,12 +27,9 @@ coefficient and intersection number is a polynomial in (g, i).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any
 
 from .numeric import Value
-
-_HALF = Fraction(1, 2)
 
 
 class ChowClass(Value):
@@ -62,9 +61,6 @@ class ChowClass(Value):
         if isinstance(c, ChowClass):
             return NotImplemented
         return self.scale(c)
-
-    def degree1_part(self) -> "ChowClass":
-        return ChowClass(0, self.cK1, self.cK2, self.cDelta, 0)
 
     def is_zero(self) -> bool:
         return not any(self.coords())
@@ -98,13 +94,6 @@ class ChowRing(Value):
         return f"ChowRing({self.genus!r})"
 
 
-def check_nonnegative(**indices) -> None:
-    """Reject a negative concrete index; formal indices pass."""
-    for name, value in indices.items():
-        if isinstance(value, int) and value < 0:
-            raise ValueError(f"{name} must be nonnegative")
-
-
 def chow_mul(ring: ChowRing, a: ChowClass, b: ChowClass) -> ChowClass:
     """Bilinear product reduced by the genus-g intersection relations."""
     g = ring.genus
@@ -129,38 +118,3 @@ def chow_integrate(ring: ChowRing, a: ChowClass):
     """Degree of the 0-cycle part: the coefficient of the point class."""
     return a.cPt
 
-
-def power_sum(n):
-    """1 + 2 + ... + n, for a concrete or a formal n."""
-    return n * (n + 1) * _HALF
-
-
-def pushforward_c1(ring: ChowRing, j) -> ChowClass:
-    """First Chern class (pulled back to C x C) of the pushforward of the
-    j-twisted relative canonical bundle.
-
-    The recursion steps c1 -> c1 - m K1, m = 1..j, from the free bundle
-    at j = 0 sum to -(1/2)j(j+1) K1.
-    """
-    check_nonnegative(j=j)
-    return -power_sum(j) * K1
-
-
-def jet_c1(i, ell) -> ChowClass:
-    """First Chern class of the order-ell relative jet bundle of the
-    (i+1)-fold diagonal twist of the relative canonical bundle: the sum
-    of its n = ell+1 filtration factors m*K2 + (i+1)*Delta, m = 1..n."""
-    n = ell + 1
-    return power_sum(n) * K2 + (n * (i + 1)) * DELTA
-
-
-def weierstrass_class(ring: ChowRing, j) -> ChowClass:
-    """Class of the j-th Weierstrass divisor of the family of twisted
-    canonical systems, as a divisor on C x C.
-
-    Derived as W_j = c1(J^{g+j-1}) - c1(E_j) - g*Delta: the wronskian of
-    the evaluation map from the pushforward E_j to the jet bundle of
-    order g+j-1, which vanishes on the diagonal with weight exactly g.
-    """
-    g = ring.genus
-    return jet_c1(j, g + j - 1) - pushforward_c1(ring, j) - g * DELTA

@@ -9,6 +9,8 @@ exact equality of the two expanded polynomials.  Its report keeps the
 grid view: the values of both at every grid point, with the points
 where they differ listed as failures.  Equal polynomials have equal
 values, so the closed form is evaluated only when the verdict fails.
+``CASES`` names every case in report order; the symbolic identities
+are data in ``IDENTITIES``, and every other case is one ``certify``.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ import functools
 from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .bundles import jet_chern, moving_locus_class, special_ramification_class
-from .chow import DELTA, ChowRing, chow_integrate, chow_mul, weierstrass_class
+from .bundles import jet_chern, moving_locus_class, special_ramification_class, weierstrass_class
+from .chow import DELTA, ChowRing, chow_integrate, chow_mul
 from .errors import GridInsufficientError
 from .numeric import ParamPoly
 
@@ -31,15 +33,14 @@ _HALF = Fraction(1, 2)
 
 
 class ClosedForm(NamedTuple):
-    """A named closed-form count with its per-variable degree bound."""
+    """A named closed-form count; its degrees in (g, i) are within _BOUND."""
 
     name: str
     expr: ParamPoly
-    degree_bound: tuple[int, int]
     anchor: str
 
 
-_BOUND = (8, 8)
+_BOUND = (8, 8)  # per-variable degree bound of every closed form
 
 CLOSED_FORMS: dict[str, ClosedForm] = {}
 
@@ -48,7 +49,7 @@ def _register(name: str, expr: ParamPoly, anchor: str) -> ClosedForm:
     dg, di = expr.degrees()
     if dg > _BOUND[0] or di > _BOUND[1]:
         raise ValueError(f"degree bound {_BOUND} does not dominate ({dg}, {di})")
-    form = ClosedForm(name, expr, _BOUND, anchor)
+    form = ClosedForm(name, expr, anchor)
     CLOSED_FORMS[name] = form
     return form
 
@@ -175,11 +176,10 @@ def certify(
     """
     g_points = sorted(set(g_range))
     i_points = sorted(set(i_range))
-    bg, bi = form.degree_bound
-    if len(g_points) <= bg or len(i_points) <= bi:
+    if len(g_points) <= _BOUND[0] or len(i_points) <= _BOUND[1]:
         raise GridInsufficientError(
             f"case {name}: grid {len(g_points)}x{len(i_points)} insufficient "
-            f"for degree bound {form.degree_bound}"
+            f"for degree bound {_BOUND}"
         )
     verdict = engine_fn == form.expr
     engine_values = engine_fn.grid_values(g_points, i_points)
@@ -197,7 +197,7 @@ def certify(
         verdict=verdict,
         method="grid",
         anchor=form.anchor,
-        degree_bound=form.degree_bound,
+        degree_bound=_BOUND,
         grid_size=(len(g_points), len(i_points)),
         grid=grid,
         failures=() if verdict else tuple(row for row in grid if row[2] != row[3]),
@@ -221,7 +221,7 @@ def engine_polys() -> Mapping[str, ParamPoly]:
     w = weierstrass_class(ring, _I)
     jets = jet_chern(ring, _I, _G + _I)
     w_delta = chow_integrate(ring, chow_mul(ring, w, DELTA))
-    sw = chow_integrate(ring, special_ramification_class(ring, _I, w))
+    sw = chow_integrate(ring, special_ramification_class(ring, w))
     e_plus = chow_integrate(ring, moving_locus_class(ring, _I, jets))
     # moving pairs off the diagonal: the Porteous count minus the weight
     # (g+1) carried by each of the transversal diagonal intersections
@@ -244,25 +244,11 @@ def engine_polys() -> Mapping[str, ParamPoly]:
 
 
 # ---------------------------------------------------------------------------
-# Case registry: name -> runner(g_range, i_range), in canonical report order
+# Case table, in canonical report order: a name in IDENTITIES is an exact
+# equality of two closed forms, any other name certifies its engine
+# polynomial against its closed form
 
-Runner = Callable[[Sequence[int], Sequence[int]], CertificationReport]
-
-
-def _grid_case(name: str) -> Runner:
-    def run(g_range, i_range):
-        return certify(name, engine_polys()[name], CLOSED_FORMS[name], g_range, i_range)
-
-    return run
-
-
-def _symbolic_case(name: str, lhs: ParamPoly, rhs: ParamPoly, anchor: str) -> Runner:
-    """Exact equality of two fully expanded closed forms; no grid needed."""
-    report = CertificationReport(name=name, verdict=lhs == rhs, method="symbolic", anchor=anchor)
-    return lambda g_range, i_range: report
-
-
-_GRID_CASES = (
+CASES = (
     "W_class_K1",
     "W_class_K2",
     "W_class_Delta",
@@ -274,21 +260,30 @@ _GRID_CASES = (
     "SW_degree",
     "E_degree",
     "D_degree",
+    "identity_a",
+    "identity_b",
 )
 
-CASES: dict[str, Runner] = {name: _grid_case(name) for name in _GRID_CASES}
-CASES["identity_a"] = _symbolic_case(
-    "identity_a",
-    CLOSED_FORMS["SW_degree"].expr,
-    CLOSED_FORMS["D_degree"].expr + CLOSED_FORMS["E_degree"].expr,
-    "special-ramification count splits as effective plus moving pairs",
-)
-CASES["identity_b"] = _symbolic_case(
-    "identity_b",
-    CLOSED_FORMS["E_plus_degree"].expr,
-    CLOSED_FORMS["E_degree"].expr + (_G + 1) * (_G**3 - _G),
-    "Porteous count exceeds the moving-pair count by (g+1)(g^3-g)",
-)
+IDENTITIES: dict[str, tuple[ParamPoly, ParamPoly, str]] = {
+    "identity_a": (
+        CLOSED_FORMS["SW_degree"].expr,
+        CLOSED_FORMS["D_degree"].expr + CLOSED_FORMS["E_degree"].expr,
+        "special-ramification count splits as effective plus moving pairs",
+    ),
+    "identity_b": (
+        CLOSED_FORMS["E_plus_degree"].expr,
+        CLOSED_FORMS["E_degree"].expr + (_G + 1) * (_G**3 - _G),
+        "Porteous count exceeds the moving-pair count by (g+1)(g^3-g)",
+    ),
+}
+
+
+def _run_case(name: str, g_range: Sequence[int], i_range: Sequence[int]) -> CertificationReport:
+    if name in IDENTITIES:
+        lhs, rhs, anchor = IDENTITIES[name]
+        return CertificationReport(name=name, verdict=lhs == rhs, method="symbolic", anchor=anchor)
+    return certify(name, engine_polys()[name], CLOSED_FORMS[name], g_range, i_range)
+
 
 DEFAULT_G_RANGE = range(1, 10)
 DEFAULT_I_RANGE = range(0, 9)
@@ -304,9 +299,9 @@ def run_suite(
     case directly: no name holds a glob character, so it matches only
     itself."""
     if name_filter is None:
-        names = list(CASES)
+        names = CASES
     elif name_filter in CASES:
         names = [name_filter]
     else:
         names = [n for n in CASES if fnmatch.fnmatchcase(n, name_filter)]
-    return [CASES[n](g_range, i_range) for n in names]
+    return [_run_case(n, g_range, i_range) for n in names]

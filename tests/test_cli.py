@@ -31,7 +31,7 @@ from ramloci.errors import (
     IrrationalBranchError,
     NotMonicError,
 )
-from ramloci.formulas import CLOSED_FORMS, ClosedForm, certify
+from ramloci.formulas import CLOSED_FORMS, ClosedForm
 from ramloci.numeric import UniPoly
 
 
@@ -400,22 +400,8 @@ class TestVerifyCommand:
         assert "cap" in proc.stderr
 
     def test_verification_failure_exit_code(self, monkeypatch):
-        broken_form = ClosedForm(
-            "SW_degree", CLOSED_FORMS["SW_degree"].expr + 1, (8, 8), "control case"
-        )
-
-        def broken_runner(g_range, i_range):
-            return certify(
-                "SW_degree",
-                formulas.engine_polys()["SW_degree"],
-                broken_form,
-                g_range,
-                i_range,
-            )
-
-        patched = dict(formulas.CASES)
-        patched["SW_degree"] = broken_runner
-        monkeypatch.setattr(formulas, "CASES", patched)
+        broken = ClosedForm("SW_degree", CLOSED_FORMS["SW_degree"].expr + 1, "control case")
+        monkeypatch.setitem(formulas.CLOSED_FORMS, "SW_degree", broken)
         code, text = run_cli("verify", "--format", "json")
         assert code == 1
         doc = json.loads(text)
@@ -427,6 +413,29 @@ class TestVerifyCommand:
             "engine": "0",
             "closed_form": "1",
         }
+
+    def test_failing_identity_in_every_format(self, monkeypatch):
+        lhs, rhs, anchor = formulas.IDENTITIES["identity_a"]
+        monkeypatch.setitem(formulas.IDENTITIES, "identity_a", (lhs, rhs + 1, anchor))
+        code, text = run_cli("verify", "--format", "json")
+        assert code == 1
+        doc = json.loads(text)
+        assert doc["passed"] is False
+        case = next(c for c in doc["cases"] if c["name"] == "identity_a")
+        assert case["verdict"] == "fail"
+        assert case["grid_size"] is None and case["degree_bound"] is None
+        assert case["failures"] == []
+        code, text = run_cli("verify", "--format", "tsv")
+        assert code == 1
+        assert [line for line in text.splitlines() if "fail" in line] == [
+            "identity_a\tfail\tsymbolic\t0"
+        ]
+        code, text = run_cli("verify")
+        assert code == 1
+        assert [line.split() for line in text.splitlines() if "FAIL" in line] == [
+            ["[FAIL]", "identity_a", "symbolic"]
+        ]
+        assert text.endswith("12/13 cases passed\n")
 
     @pytest.mark.parametrize("golden, argv", VERIFY_GOLDEN, ids=[name for name, _ in VERIFY_GOLDEN])
     def test_output_matches_golden_bytes(self, golden, argv):

@@ -1,7 +1,6 @@
 import fnmatch
 import json
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -45,8 +44,8 @@ class TestClosedForms:
     def test_degree_bounds_dominate(self):
         for form in CLOSED_FORMS.values():
             dg, di = form.expr.degrees()
-            assert dg <= form.degree_bound[0]
-            assert di <= form.degree_bound[1]
+            assert dg <= formulas._BOUND[0]
+            assert di <= formulas._BOUND[1]
 
     def test_declared_bound_is_enforced(self):
         with pytest.raises(ValueError, match="does not dominate"):
@@ -83,9 +82,7 @@ class TestCertify:
         assert [row[2] for row in report.grid] == [row[3] for row in report.grid] == closed
 
     def test_broken_form_fails_at_origin_corner(self, evaluated):
-        broken = ClosedForm(
-            "broken", CLOSED_FORMS["SW_degree"].expr + 1, (8, 8), "control case"
-        )
+        broken = ClosedForm("broken", CLOSED_FORMS["SW_degree"].expr + 1, "control case")
         report = certify("broken", _sw_degree(), broken, range(1, 10), range(0, 9))
         assert not report.verdict
         assert len(evaluated) == 2
@@ -284,7 +281,7 @@ class TestEngineRecord:
         ring = ChowRing(g)
         product = ChernPoly(ring)
         for m in range(1, g + i + 2):
-            product = product * ChernPoly.of_line_bundle(ring, m * K2 + (i + 1) * DELTA)
+            product = product * ChernPoly(ring, c1=m * K2 + (i + 1) * DELTA)
         assert jet_chern(ring, i, g + i) == product
         polys = engine_polys()
         assert product.c1.cK2 == polys["jet_c1_K2"](g, i)
@@ -294,17 +291,12 @@ class TestEngineRecord:
     def test_form_agreeing_on_the_whole_grid_still_fails(self):
         """A closed form off by (g-1)(g-2)...(g-9) agrees with the engine
         on every point of the 9 x 9 grid, but is a different polynomial.
-        ClosedForm rejects a degree-9 expression under the bound (8, 8),
-        so a stand-in declares it, as a mistaken form would."""
+        Registration rejects a degree-9 expression under the bound (8, 8),
+        so the form is built directly, as a mistaken form would be."""
         vanishing = ParamPoly.const(1)
         for root in range(1, 10):
             vanishing = vanishing * (G - root)
-        wrong = SimpleNamespace(
-            name="SW_degree",
-            expr=CLOSED_FORMS["SW_degree"].expr + vanishing,
-            degree_bound=(8, 8),
-            anchor="control case",
-        )
+        wrong = ClosedForm("SW_degree", CLOSED_FORMS["SW_degree"].expr + vanishing, "control case")
         report = certify("SW_degree", _sw_degree(), wrong, range(1, 10), range(0, 9))
         assert len(report.grid) == 81 and not report.failures
         assert not report.verdict
