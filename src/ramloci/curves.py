@@ -55,8 +55,11 @@ from .numeric import (
     Series,
     UniPoly,
     Value,
+    _bareiss,
+    _certified_coprime,
     _homogeneous_value,
-    bareiss_det,
+    _primitive,
+    bareiss_det,  # unused here; perfbench/tracer.py wraps it under this module
     poly_on_series,
     series_invert,
     series_sqrt,
@@ -534,8 +537,10 @@ def _wronskian_parts(model: HyperellipticModel, basis: MonomialBasis) -> _Wronsk
     against the denominator by exponent arithmetic, as does f^(k//2).
 
     The recursion runs on integer lists: with 2f = F2/D and f' = F1/D
-    over Z, S_m = D^m R_m has S_{m+1} = F2 S_m' + (1 - 2m) F1 S_m, and
-    only the k x k entries of Y are wrapped, as S_m / D^m.
+    over Z, S_m = D^m R_m has S_{m+1} = F2 S_m' + (1 - 2m) F1 S_m.  The
+    k x k entries of Y stay integer lists S_m through the Bareiss loop
+    over Z[x], and only det(S) is wrapped: row m carries D^m, so
+    det(Y) = det(S) / D^(k (x_count + n - 1) / 2).
     """
     n = len(basis)
     f = model.f
@@ -554,20 +559,21 @@ def _wronskian_parts(model: HyperellipticModel, basis: MonomialBasis) -> _Wronsk
         s, col = [0] * a_exp + [1], []
         for m in range(n):
             if m >= x_count:
-                col.append(UniPoly.from_numerators(s, D**m))
+                col.append(s)
             if m < n - 1:
                 n_out = len(s) + len(F2) - 2
                 ds = _kernels.convolve(F2, [j * c for j, c in enumerate(s)][1:], n_out)
                 s = [u + (1 - 2 * m) * v for u, v in zip(ds, _kernels.convolve(F1, s, n_out))]
         y_columns.append(col)
     k = len(y_columns)
-    det = UniPoly.const(1)
-    if k:
-        det = bareiss_det([[col[r] for col in y_columns] for r in range(k)])
-        if det.is_zero():
-            raise DegenerateSystemError("wronskian of a monomial basis vanished")
     # rows x_count..n-1 carry (2f)^power, and y^k brings f^(k//2) upstairs
     power = k * (x_count + n - 1) // 2
+    det = UniPoly.const(1)
+    if k:
+        block = [[col[r] for col in y_columns] for r in range(k)]
+        det = UniPoly.from_numerators(_bareiss(block), D**power)
+        if det.is_zero():
+            raise DegenerateSystemError("wronskian of a monomial basis vanished")
     c = Fraction(sign * math.prod(map(math.factorial, range(x_count))), 2**power)
     return _WronskianParts(det, k, power - k // 2, c)
 
@@ -717,24 +723,21 @@ def division_polynomial(model: HyperellipticModel, n: int) -> CurveFunction:
     if n <= 2:
         pn = UniPoly.const(n)
     elif n <= 4:
-        x = UniPoly.x()
         a2, a4, a6 = f[2], f[1], f[0]
         b2 = 4 * a2
         b4 = 2 * a4
         b6 = 4 * a6
         b8 = 4 * a2 * a6 - a4 * a4
         if n == 3:
-            pn = 3 * x**4 + b2 * x**3 + 3 * b4 * x**2 + 3 * b6 * x + b8
+            # 3x^4 + b2 x^3 + 3 b4 x^2 + 3 b6 x + b8
+            pn = UniPoly([b8, 3 * b6, 3 * b4, b2, 3])
         else:
-            pn = 2 * (
-                2 * x**6
-                + b2 * x**5
-                + 5 * b4 * x**4
-                + 10 * b6 * x**3
-                + 10 * b8 * x**2
-                + (b2 * b8 - b4 * b6) * x
-                + (b4 * b8 - b6 * b6)
-            )
+            # 2 (2x^6 + b2 x^5 + 5 b4 x^4 + 10 b6 x^3 + 10 b8 x^2
+            #    + (b2 b8 - b4 b6) x + b4 b8 - b6^2)
+            pn = UniPoly([
+                2 * (b4 * b8 - b6 * b6), 2 * (b2 * b8 - b4 * b6),
+                20 * b8, 20 * b6, 10 * b4, 2 * b2, 4,
+            ])
     else:
 
         def p(k: int) -> UniPoly:
@@ -751,11 +754,20 @@ def division_polynomial(model: HyperellipticModel, n: int) -> CurveFunction:
 
 
 def _strip_branch_factors(p: UniPoly, f: UniPoly) -> UniPoly:
-    """Remove every irreducible factor shared with f."""
+    """Remove every irreducible factor shared with f.
+
+    A p that the coprimality certificate clears is returned as it is.
+    Otherwise p is divided by monic f while f divides it, the usual case
+    for a wronskian determinant, and only what is left runs the gcd
+    loop, which a p sharing a proper factor of f needs."""
     if p.is_zero():
         # 0.gcd(f) is f, so stripping the zero polynomial never ends
         raise ValueError("zero polynomial")
-    q = p
+    if _certified_coprime(_primitive(p.nums, 0)[0], _primitive(f.nums, 0)[0]):
+        return p
+    q, f = p, f.monic()
+    while (quo := q._quotient(f)) is not None:
+        q = quo
     while True:
         shared = q.gcd(f)
         if shared.degree <= 0:
@@ -767,12 +779,14 @@ def torsion_check(model: HyperellipticModel, j: int) -> bool:
     """Genus-1 oracle: the affine ramification points of the j-twisted
     system at infinity are exactly the affine (j+1)-torsion points.
 
-    Both sides are compared as monic squarefree polynomials in x.  The
-    ordinary part of the ramification locus is the squarefree part of
-    the wronskian's block determinant with branch-supported factors
-    removed; branch places (the 2-torsion) are ramified iff their common
-    weight is positive, which exponent arithmetic on that same stripped
-    determinant decides without root-finding.
+    Both sides are compared as monic polynomials in x.  The ordinary
+    part of the ramification locus is the squarefree part of the
+    wronskian's block determinant with branch-supported factors removed;
+    branch places (the 2-torsion) are ramified iff their common weight
+    is positive, which exponent arithmetic on that same stripped
+    determinant decides without root-finding.  The torsion side, p_n or
+    p_n f, is squarefree already on a smooth model over Q, so it is only
+    made monic, and a repeated factor there fails the check.
     """
     if model.genus != 1:
         raise UnsupportedModelError("torsion check needs a genus-1 model")
@@ -791,7 +805,7 @@ def torsion_check(model: HyperellipticModel, j: int) -> bool:
         raise InternalCheckError("branch weights of a genus-1 system must agree")
     ram = ordinary if branch_weight_all == 0 else ordinary * f
 
-    # psi_n = p y^k: p f^k has the squarefree part of the norm p^2 (-f)^k
+    # psi_n = p y^k: p f^k is the squarefree part of the norm p^2 (-f)^k
     psi = division_polynomial(model, n)
-    torsion = (psi.num * f if psi.k else psi.num).squarefree_part()
+    torsion = psi.num * f if psi.k else psi.num
     return ram.monic() == torsion.monic()

@@ -36,8 +36,14 @@ Chow-ring and bundle calculus therefore runs on integers, and
 ``_kernels.convolve`` on the stored numerators.  Polynomial division
 (``/`` and the pseudo-remainders of ``gcd``) is one integer
 long-division loop, ``_long_div``; ``/`` is exact division, by the
-primitive part of the divisor, which stays over Z by Gauss's lemma, so
-fraction-free Bareiss runs over Z[x].  ``root_multiplicity`` divides by
+primitive part of the divisor, which stays over Z by Gauss's lemma, and
+its core ``_quotient`` returns None where the divisor does not divide.
+Determinants have one fraction-free Bareiss loop, ``_bareiss``, over
+Z[x] on integer lists: ``convolve`` for the products and ``_long_div``
+for the exact divisions by the previous pivot.  The wronskian's y-block
+enters it as integer lists; ``bareiss_det`` packs a matrix of int,
+Fraction and ``UniPoly`` entries into it, one denominator per row.
+``root_multiplicity`` divides by
 the primitive q x - p for x0 = p/q with ``_divide_linear``, a synthetic
 division over Z with one carry and no list slices.  ``gcd`` runs its
 pseudo-remainder sequence only when the integer gcd of the inputs'
@@ -133,6 +139,14 @@ def _primitive(nums, den):
     if den < 0:
         g = -g
     return ([c // g for c in nums], den // g) if g != 1 else (nums, den)
+
+
+def _trim(nums):
+    """The integer list ``nums`` without its trailing zeros."""
+    hi = len(nums)
+    while hi and not nums[hi - 1]:
+        hi -= 1
+    return nums[:hi]
 
 
 def _long_div(nums, divisor):
@@ -483,11 +497,7 @@ class UniPoly(_Exact, Value):
 
     def _store(self, parts):
         """Strip trailing zero numerators, remove the content and make den positive."""
-        nums, den = parts
-        hi = len(nums)
-        while hi and not nums[hi - 1]:
-            hi -= 1
-        nums, den = _primitive(nums[:hi], den)
+        nums, den = _primitive(_trim(parts[0]), parts[1])
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
 
@@ -543,12 +553,7 @@ class UniPoly(_Exact, Value):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
-        n = len(self.nums) + len(other.nums) - 1
-        return UniPoly.from_numerators(
-            _kernels.convolve(self.nums, other.nums, n), self.den * other.den
-        )
+        return UniPoly.from_numerators(_product(self.nums, other.nums), self.den * other.den)
 
     __pow__ = _power
 
@@ -561,10 +566,18 @@ class UniPoly(_Exact, Value):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        quo = self._quotient(other)
+        if quo is None:
+            raise ValueError("inexact polynomial division")
+        return quo
+
+    def _quotient(self, other: "UniPoly"):
+        """The core of ``/``: self/other for a nonzero UniPoly other, or
+        None when other does not divide self."""
         content = math.gcd(*other.nums)
         out = _long_div(self.nums, [c // content for c in other.nums])
         if out is None or any(out[1]):
-            raise ValueError("inexact polynomial division")
+            return None
         return UniPoly.from_numerators([c * other.den for c in out[0]], self.den * content)
 
     def __hash__(self):
@@ -613,7 +626,8 @@ class UniPoly(_Exact, Value):
         """Monic product of the distinct irreducible factors."""
         if self.degree <= 0:
             return UniPoly.const(1) if not self.is_zero() else self
-        return (self / self.gcd(self.derivative())).monic()
+        shared = self.gcd(self.derivative())
+        return (self if shared.degree == 0 else self / shared).monic()
 
     def is_squarefree(self) -> bool:
         return self.degree <= 0 or self.gcd(self.derivative()).degree == 0
@@ -1008,37 +1022,72 @@ def poly_on_series(p: UniPoly, x: Series) -> Series:
 # Determinants
 
 
-def bareiss_det(matrix):
-    """Exact determinant by fraction-free Bareiss elimination.
+def _product(a, b):
+    """Product of two integer polynomials as lists; [] is zero."""
+    return _kernels.convolve(a, b, len(a) + len(b) - 1) if a and b else []
 
-    Entries may live in any exact integral domain whose elements support
-    ring operations and exact division (``/``) by earlier pivots; the
-    divisions performed are exact by construction.  Python ints are taken
-    as ``Fraction`` so that ``/`` stays exact.  Zero is a valid result.
-    """
-    m = [[Fraction(e) if isinstance(e, int) else e for e in row] for row in matrix]
+
+def _bareiss(matrix):
+    """Determinant over Z[x] by fraction-free Bareiss elimination
+    (Bareiss 1968): the entries are integer lists, constant term first,
+    and so is the result, without trailing zeros; [] is zero.
+
+    Step k swaps a row with a nonzero pivot into place (the determinant
+    is zero when there is none) and replaces every later entry by
+    (m[r][c] m[k][k] - m[r][k] m[k][c]) / p, p the previous pivot.  Each
+    new entry is a minor of the matrix, so every division is exact in
+    Z[x] and one integer long division does it; products are
+    ``_kernels.convolve``."""
+    m = [[_trim(e) for e in row] for row in matrix]
     n = len(m)
-    if n == 0:
-        raise ValueError("empty matrix")
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    if n == 1:
-        return m[0][0]
-    sign = 1
-    prev = None
+    sign, prev = 1, None
     for k in range(n - 1):
         piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
-            z = m[0][0] - m[0][0]
-            return z
+            return []
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        pivot = m[k][k]
-        for r in range(k + 1, n):
+        top = m[k]
+        pivot = top[k]
+        for row in m[k + 1 :]:
+            lead = row[k]
             for c in range(k + 1, n):
-                num = m[r][c] * pivot - m[r][k] * m[k][c]
-                m[r][c] = num if prev is None else num / prev
+                a, b = _product(row[c], pivot), _product(lead, top[c])
+                if len(a) < len(b):
+                    a += [0] * (len(b) - len(a))
+                a[: len(b)] = [u - v for u, v in zip(a, b)]
+                a = _trim(a)
+                row[c] = a if prev is None else _long_div(a, prev)[0]
         prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+    det = m[-1][-1]
+    return det if sign > 0 else [-c for c in det]
+
+
+def bareiss_det(matrix):
+    """Exact determinant of a square matrix of ints, Fractions and
+    UniPolys, by the Bareiss loop ``_bareiss`` over Z[x].
+
+    Each row is packed as integer numerators over one denominator, the
+    lcm of its entries'; the determinant of the numerators over the
+    product of those denominators is a ``Fraction`` when every entry is
+    a scalar and a ``UniPoly`` otherwise.  Zero is a valid result.
+    """
+    n = len(matrix)
+    if n == 0:
+        raise ValueError("empty matrix")
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    entries = [e for row in matrix for e in row]
+    if not all(isinstance(e, (int, Fraction, UniPoly)) for e in entries):
+        raise TypeError("determinant entries must be int, Fraction or UniPoly")
+    rows, den = [], 1
+    for row in matrix:
+        row = [e if isinstance(e, UniPoly) else UniPoly._scalar(e) for e in row]
+        d = math.lcm(*[e.den for e in row])
+        rows.append([[c * (d // e.den) for c in e.nums] for e in row])
+        den *= d
+    det = _bareiss(rows)
+    if any(isinstance(e, UniPoly) for e in entries):
+        return UniPoly.from_numerators(det, den)
+    return Fraction(det[0] if det else 0, den)

@@ -28,6 +28,17 @@ def cofactor_det(matrix):
     return total
 
 
+def strip_by_gcds(p, f):
+    """Reference strip of f's factors from p: divide by gcd(p, f) until
+    it is constant."""
+    q = p
+    while True:
+        shared = q.gcd(f)
+        if shared.degree <= 0:
+            return q
+        q = q / shared
+
+
 def monomial_sections(model, basis, place, prec):
     """The sections x^a y^b dx/y of a twisted canonical system at a place,
     one Horner expansion of each monomial times dx/y, twisted by t^(i+1)

@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -48,7 +49,12 @@ from ramloci.errors import (
 )
 from ramloci.numeric import Series, UniPoly, bareiss_det, poly_on_series
 
-from _reference import cofactor_det, monomial_sections, order_sequence_by_monomials
+from _reference import (
+    cofactor_det,
+    monomial_sections,
+    order_sequence_by_monomials,
+    strip_by_gcds,
+)
 
 X = UniPoly.x()
 
@@ -927,6 +933,47 @@ class TestWronskian:
         with pytest.raises(ValueError):
             _strip_branch_factors(UniPoly(), E1.f)
 
+    @pytest.mark.parametrize(
+        "f",
+        [X**3 + 1, X**3 - 2 * X + 5, X**3 - Fraction(1, 4) * X, 2 * X**3 - X / 2, G2.f],
+        ids=["x^3+1", "x^3-2x+5", "x^3-x/4", "2x^3-x/2", "split-genus2"],
+    )
+    def test_strip_matches_the_gcd_loop(self, f):
+        # q f^e with e <= 4, q random and sometimes sharing a proper factor
+        # of f, so the exact division by f, the gcd fallback and the
+        # coprime certificate all run; the result is the same stored form
+        rng = random.Random(29)
+        factors = [X - r for r in f.simple_rational_roots()]
+        for _ in range(40):
+            q = UniPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(rng.randint(1, 6))])
+            if q.is_zero():
+                continue
+            if factors and rng.random() < 0.4:
+                q = q * rng.choice(factors) ** rng.randint(1, 3)
+            p = q * f ** rng.randint(0, 4)
+            got, want = _strip_branch_factors(p, f), strip_by_gcds(p, f)
+            assert (got.nums, got.den) == (want.nums, want.den), p
+
+    def test_coprime_strip_runs_no_long_division(self, monkeypatch):
+        import ramloci.numeric as numeric_mod
+
+        # for i <= 3 the determinant is prime to f, from i = 4 on f divides it
+        dets = [_wronskian_parts(G3, build_basis(G3, i)).det for i in range(5)]
+        real = numeric_mod._long_div
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(numeric_mod, "_long_div", spy)
+        for det in dets[:4]:
+            assert _strip_branch_factors(det, G3.f) is det
+        assert calls == []
+        # the spy does see the divisions of a determinant that f divides
+        assert _strip_branch_factors(dets[4], G3.f).degree == dets[4].degree - 7
+        assert calls
+
     @settings(max_examples=60, deadline=None)
     @given(
         split=st.booleans(),
@@ -1145,6 +1192,20 @@ class TestDivisionPolynomials:
     def test_needs_genus_one(self):
         with pytest.raises(UnsupportedModelError):
             division_polynomial(G2, 2)
+
+    @pytest.mark.parametrize(
+        "f",
+        [X**3 + 1, X**3 - 2 * X + 5, X**3 - Fraction(1, 4) * X],
+        ids=["x^3+1", "x^3-2x+5", "x^3-x/4"],
+    )
+    def test_torsion_side_is_squarefree(self, f):
+        # torsion_check compares p_n (odd n) or p_n f (even n) as it is,
+        # with no squarefree part taken: both are squarefree for n = j + 1
+        model = HyperellipticModel.from_poly(f)
+        for n in range(2, 10):
+            pn = division_polynomial(model, n).num
+            assert pn.is_squarefree(), n
+            assert (pn * f).is_squarefree(), n
 
     def test_vanishes_on_sympy_torsion_points(self):
         # y^2 = x^3 + 1 has torsion Z/6: psi_m vanishes at a point of

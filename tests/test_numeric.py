@@ -19,6 +19,7 @@ from ramloci.numeric import (
     ParamPoly,
     Series,
     UniPoly,
+    _bareiss,
     _certified_coprime,
     _pack,
     _primitive,
@@ -1061,6 +1062,43 @@ class TestBareiss:
                     for _ in range(n)
                 ]
                 assert bareiss_det(m) == cofactor_det(m)
+
+    def test_result_types(self):
+        X = UniPoly.x()
+        assert isinstance(bareiss_det([[Fraction(1, 2)]]), Fraction)
+        assert bareiss_det([[UniPoly([1, 2])]]) == UniPoly([1, 2])
+        det = bareiss_det([[X, 1], [Fraction(1, 2), X]])
+        assert isinstance(det, UniPoly) and det == X * X - Fraction(1, 2)
+        with pytest.raises(TypeError):
+            bareiss_det([[1.5]])
+        with pytest.raises(ValueError):
+            bareiss_det([[1, 2]])
+
+    def test_integer_loop_against_cofactor(self):
+        # entries in Z[x] as integer lists; zeros make pivots vanish (row
+        # swaps) and repeated or zero rows make the matrix singular
+        rng = random.Random(29)
+
+        def entry():
+            if rng.random() < 0.3:
+                return []
+            return [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [rng.choice([-3, -1, 1, 2])]
+
+        for n in (1, 2, 3, 4):
+            for trial in range(40):
+                m = [[entry() for _ in range(n)] for _ in range(n)]
+                if trial % 4 == 1:
+                    m[0][0] = []  # a zero first pivot
+                if trial % 4 == 2 and n > 1:
+                    m[-1] = list(m[0])  # a repeated row
+                if trial % 8 == 3:
+                    m[rng.randrange(n)] = [[] for _ in range(n)]  # a zero row
+                want = cofactor_det([[UniPoly.from_numerators(e, 1) for e in row] for row in m])
+                got = _bareiss(m)
+                assert UniPoly.from_numerators(got, 1) == want
+                assert not got or got[-1], got  # no trailing zero
+        assert _bareiss([[[], [1]], [[1], []]]) == [-1]
+        assert _bareiss([[[0, 1], [1]], [[0, 2], [2]]]) == []
 
 
 def _naive_convolve(a, b, n_out):
