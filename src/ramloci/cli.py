@@ -229,7 +229,7 @@ def _twist(text: str) -> int:
     return value
 
 
-def _parse_place(model: HyperellipticModel, text: str) -> Place:
+def _parse_place(text: str) -> Place:
     text = text.strip()
     if text in ("inf", "infinity", "oo"):
         return Place.infinity()
@@ -249,7 +249,6 @@ def _parse_place(model: HyperellipticModel, text: str) -> Place:
         place = Place.branch(coords[0]) if coords[1] == 0 else Place.ordinary(*coords)
     else:
         raise ConfigError(f"cannot parse place {text!r}")
-    model.check_place(place)
     return place
 
 
@@ -341,7 +340,7 @@ def cmd_curve(args):
     elif args.curve_cmd == "orders":
         if not args.place:
             raise ConfigError("orders needs --place")
-        place = _parse_place(model, args.place)
+        place = _parse_place(args.place)
         seq = order_sequence_at(model, build_basis(model, i), place)
         record.update(i=i, place=str(place), orders=list(seq.orders), weight=seq.weight)
         rows = [("place", place), ("orders", ", ".join(map(str, seq.orders))), ("weight", seq.weight)]

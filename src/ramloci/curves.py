@@ -21,8 +21,10 @@ wronskian.  The series ladder expands y times the sections, x^a y^b
 dx/dt, as two ladders from dx/dt and y dx/dt, each multiplied by the
 exact x once per rung, and reads the orders off by valuation-staircase
 elimination; it serves ordinary places (``curve orders --place``) and is
-the tests' oracle for the closed forms.  The weight carried by places the
-engine cannot expand exactly (ordinary points with irrational
+the tests' oracle for the closed forms.  A place is checked where it is
+expanded, in ``_exact_frame`` and in each new cached y frame; a located
+branch place is checked by ``order_sequence_at``.  The weight carried by
+places the engine cannot expand exactly (ordinary points with irrational
 coordinates, branch points over irrational roots of f) is recovered
 without any root-finding from the valuations of the affine wronskian,
 whose divisor has degree zero.
@@ -30,6 +32,8 @@ whose divisor has degree zero.
 The affine wronskian and the division polynomials are computed in Q[x]
 and only the result is wrapped as a ``CurveFunction`` num y^k/den with
 k in {0, 1}, a canonical-form value type with no arithmetic of its own.
+The torsion oracle compares the block determinant, stripped of f's
+factors, with the division polynomial as they are.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from .numeric import (
     _bareiss,
     _certified_coprime,
     _homogeneous_value,
+    _monomial,
     _primitive,
     bareiss_det,  # unused here; perfbench/tracer.py wraps it under this module
     poly_on_series,
@@ -101,15 +106,10 @@ def start_precision(g: int, i: int) -> int:
 class Place(Value):
     """A place of a model: its kind, with (x, y) at an affine place."""
 
-    __slots__ = ("kind", "x", "y", "_hash")
+    __slots__ = ("kind", "x", "y")
 
     def __init__(self, kind: str, x: Fraction | None = None, y: Fraction | None = None):
-        # the hash is computed once: the local-frame cache hashes the place
-        # on every lookup, which would hash its Fraction coordinates again
-        self._init(kind, x, y, hash((kind, x, y)))
-
-    def __hash__(self):
-        return self._hash
+        self._init(kind, x, y)
 
     def __repr__(self):
         return f"Place({self.kind!r}, {self.x!r}, {self.y!r})"
@@ -135,15 +135,13 @@ class Place(Value):
 class HyperellipticModel(Value):
     """Validated odd hyperelliptic model y^2 = f(x)."""
 
-    __slots__ = ("f", "genus", "branch_x", "splits", "_hash")
+    __slots__ = ("f", "genus", "branch_x", "splits")
 
     def __init__(self, f: UniPoly, genus: int, branch_x: tuple[Fraction, ...], splits: bool):
-        # the hash is computed once: the local-frame and division-polynomial
-        # caches hash the model on every lookup, and f determines the rest
-        self._init(f, genus, branch_x, splits, hash(f))
+        self._init(f, genus, branch_x, splits)
 
-    def __hash__(self):
-        return self._hash
+    def _key(self) -> tuple:
+        return (self.f,)  # f determines the rest
 
     def __repr__(self):
         return f"HyperellipticModel(y^2 = {self.f})"
@@ -250,12 +248,7 @@ class MonomialBasis(Value):
         return tuple(2 * a + w * b for a, b in self.exponents)
 
     def monomial_names(self) -> tuple[str, ...]:
-        names = []
-        for a, b in self.exponents:
-            xs = "" if a == 0 else ("x" if a == 1 else f"x^{a}")
-            ys = "" if b == 0 else "y"
-            names.append((xs + ("*" if xs and ys else "") + ys) or "1")
-        return tuple(names)
+        return tuple(_monomial("xy", ab) or "1" for ab in self.exponents)
 
 
 def build_basis(model: HyperellipticModel, i: int) -> MonomialBasis:
@@ -304,13 +297,12 @@ def _solve_branch_parameter(fshift: UniPoly, prec: int) -> Series:
     return series_sqrt(_on_monomial(fshift, 2, 1 / fshift[1]), prec=prec)
 
 
-@functools.lru_cache(maxsize=256)
 def _exact_frame(model: HyperellipticModel, place: Place):
     """Exact series for (x, dx/dt) in the local parameter at a place:
     x0 + t, x0 + t^2/f'(x0) or t^-2, none of which needs y.
 
-    The place is checked here, once per cache miss: a place that is not
-    on the curve raises before anything is expanded, and is never cached.
+    The place is checked here: a place that is not on the curve raises
+    before anything is expanded.
     """
     model.check_place(place)
     if place.kind == INFINITY:
@@ -327,7 +319,7 @@ def _local_frame(model: HyperellipticModel, place: Place, prec: int):
     """y at a place, the inexact part of the local frame: the square root
     of the exact f(x(t)) to prec coefficients, with the sign of y0 at an
     ordinary place and leading term t at a branch place."""
-    _exact_frame(model, place)  # checks the place before any expansion
+    model.check_place(place)  # a place off the curve raises and is never cached
     if place.kind == INFINITY:
         y = series_sqrt(_on_monomial(model.f, -2, Fraction(1)), prec=prec)
     else:
@@ -660,8 +652,6 @@ def total_weight(model: HyperellipticModel, i: int) -> WeightReport:
     branch root, a degree at infinity, one strip by gcds with f for the
     sum over all branch places.
     """
-    if i < 0:
-        raise ValueError("i must be nonnegative")
     g = model.genus
     r = g + i - 1
     shift = r * (r + 1) // 2
@@ -779,14 +769,16 @@ def torsion_check(model: HyperellipticModel, j: int) -> bool:
     """Genus-1 oracle: the affine ramification points of the j-twisted
     system at infinity are exactly the affine (j+1)-torsion points.
 
-    Both sides are compared as monic polynomials in x.  The ordinary
-    part of the ramification locus is the squarefree part of the
-    wronskian's block determinant with branch-supported factors removed;
-    branch places (the 2-torsion) are ramified iff their common weight
+    Both sides are compared as they are, made monic, with no squarefree
+    part taken.  The ordinary part of the ramification locus is the
+    wronskian's block determinant with branch-supported factors removed.
+    By Riemann-Roch every ramification point of the system has weight 1,
+    so on a smooth model that stripped determinant is squarefree already.
+    Branch places (the 2-torsion) are ramified iff their common weight
     is positive, which exponent arithmetic on that same stripped
     determinant decides without root-finding.  The torsion side, p_n or
-    p_n f, is squarefree already on a smooth model over Q, so it is only
-    made monic, and a repeated factor there fails the check.
+    p_n f, is squarefree on a smooth model over Q.  A repeated factor on
+    either side therefore fails the check.
     """
     if model.genus != 1:
         raise UnsupportedModelError("torsion check needs a genus-1 model")
@@ -796,14 +788,13 @@ def torsion_check(model: HyperellipticModel, j: int) -> bool:
     f = model.f
     wron = _wronskian_parts(model, build_basis(model, j))
     stripped = _strip_branch_factors(wron.det, f)
-    ordinary = stripped.squarefree_part()
 
     shift = j * (j + 1) // 2
     branch_weight_all = wron.branch_total(f, stripped) + 3 * shift
     # each branch place is a 2-torsion point, so the three weights agree
     if branch_weight_all % 3:
         raise InternalCheckError("branch weights of a genus-1 system must agree")
-    ram = ordinary if branch_weight_all == 0 else ordinary * f
+    ram = stripped if branch_weight_all == 0 else stripped * f
 
     # psi_n = p y^k: p f^k is the squarefree part of the norm p^2 (-f)^k
     psi = division_polynomial(model, n)

@@ -29,7 +29,7 @@ subtraction and the reflected operators, and for the two polynomial
 types equality and ``is_zero``.  ``_pack`` is the one way in from
 rationals and ``_primitive`` the one normaliser, so the stored form is
 canonical, and ``terms`` and ``coeffs`` build ``Fraction`` objects only
-when asked.  The certifier's
+when asked; the three print through one ``_format_terms``.  The certifier's
 Chow-ring and bundle calculus therefore runs on integers, and
 ``ParamPoly.grid_values`` builds one ``Fraction`` per grid point.  A
 ``UniPoly`` or ``Series`` product is one call of the integer kernel
@@ -286,6 +286,26 @@ class _Exact:
         return not self.nums
 
 
+def _monomial(names: str, exponents) -> str:
+    """The monomial with these exponents in one-letter variables; "" for 1."""
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exponents) if e)
+
+
+def _format_terms(pairs) -> str:
+    """Text of a sum of (coefficient, monomial) terms, the monomial ""
+    for a constant: a unit coefficient is dropped, a constant prints as
+    its value, "+ -" becomes "- ", and no terms at all print as 0."""
+    parts = []
+    for c, mono in pairs:
+        if not mono:
+            parts.append(str(c))
+        elif c == 1 or c == -1:
+            parts.append(mono if c == 1 else "-" + mono)
+        else:
+            parts.append(f"{c}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
 # ---------------------------------------------------------------------------
 # ParamPoly: polynomials in the formal parameters (g, i)
 
@@ -451,27 +471,8 @@ class ParamPoly(_Exact, Value):
         return out
 
     def __repr__(self):
-        if not self.nums:
-            return "0"
-        parts = []
-        for (eg, ei) in sorted(self.nums, key=lambda k: (-(k[0] + k[1]), -k[0])):
-            n = self.nums[(eg, ei)]
-            k = math.gcd(n, self.den)
-            c = f"{n // k}" if k == self.den else f"{n // k}/{self.den // k}"
-            mono = "*".join(
-                ([f"g^{eg}" if eg > 1 else "g"] if eg else [])
-                + ([f"i^{ei}" if ei > 1 else "i"] if ei else [])
-            )
-            if not mono:
-                parts.append(c)
-            elif n == self.den:
-                parts.append(mono)
-            elif n == -self.den:
-                parts.append("-" + mono)
-            else:
-                parts.append(f"{c}*{mono}")
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
+        keys = sorted(self.nums, key=lambda k: (-(k[0] + k[1]), -k[0]))
+        return _format_terms((Fraction(self.nums[k], self.den), _monomial("gi", k)) for k in keys)
 
 
 _ZERO = ParamPoly()
@@ -683,24 +684,9 @@ class UniPoly(_Exact, Value):
         return sorted(Fraction(z, lead) for z in cands if not _homogeneous_value(ints, z, lead))
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self[k]
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                if c == 1:
-                    parts.append(xs)
-                elif c == -1:
-                    parts.append("-" + xs)
-                else:
-                    parts.append(f"{c}*{xs}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _format_terms(
+            (Fraction(c, self.den), _monomial("x", (k,))) for k, c in reversed(list(enumerate(self.nums))) if c
+        )
 
 
 def _eval_mod(cs, z: int, m: int) -> int:
@@ -907,15 +893,9 @@ class Series(_Exact, Value):
         return Series.from_numerators(self.lead - 1, nums, self.den, self.exact)
 
     def __repr__(self):
-        parts = []
-        for k, v in enumerate(self.nums[:8]):
-            if not v:
-                continue
-            c = Fraction(v, self.den)
-            e = self.lead + k
-            ts = "1" if e == 0 else ("t" if e == 1 else f"t^{e}")
-            parts.append(ts if c == 1 and e != 0 else (f"{c}" if e == 0 else f"{c}*{ts}"))
-        body = " + ".join(parts) if parts else "0"
+        body = _format_terms(
+            (Fraction(c, self.den), _monomial("t", (self.lead + k,))) for k, c in enumerate(self.nums[:8]) if c
+        )
         if self.exact:
             return f"Series({body})"
         return f"Series({body} + O(t^{self.known_up_to}))"

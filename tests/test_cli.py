@@ -253,13 +253,12 @@ class TestParseCurve:
             parse_curve("y^2 = x^3 + 1", require_split=True)
 
     def test_parse_place(self):
-        model = parse_curve("y^2 = x^3 + 1")
-        assert _parse_place(model, "inf").kind == "infinity"
-        assert _parse_place(model, "-1").kind == "branch"
-        place = _parse_place(model, "2, 3")
+        assert _parse_place("inf").kind == "infinity"
+        assert _parse_place("-1").kind == "branch"
+        place = _parse_place("2, 3")
         assert place.kind == "ordinary" and place.y == 3
         with pytest.raises(ConfigError):
-            _parse_place(model, "nonsense")
+            _parse_place("nonsense")
 
     @pytest.mark.parametrize(
         "place", ["1e5000", "1e200000000", "1" * 1001], ids=["1e5000", "1e200000000", "1001-digits"]
@@ -269,12 +268,25 @@ class TestParseCurve:
         _assert_one_error_line(proc, "config")
 
     def test_place_fractions_and_signs(self):
-        model = parse_curve("y^2 = x^3 - x")
-        assert _parse_place(model, "+1").x == 1
-        assert _parse_place(model, "-2/2, 0").x == -1
+        assert _parse_place("+1").x == 1
+        assert _parse_place("-2/2, 0").x == -1
         for text in ("1.5", "1/0", "1,2,3", "0x10"):
             with pytest.raises(ConfigError):
-                _parse_place(model, text)
+                _parse_place(text)
+
+    @pytest.mark.parametrize(
+        "place, message",
+        [
+            ("2,5", "(2, 5) does not satisfy y^2 = f(x)"),
+            ("1/2,3", "(1/2, 3) does not satisfy y^2 = f(x)"),
+            ("2", "(2, 0) is not a branch place: f(x0) != 0"),
+        ],
+    )
+    def test_place_off_the_curve_is_one_error_line(self, place, message):
+        # the parser reads the place; the engine checks it before expanding
+        proc = run_module("curve", "orders", "y^2 = x^3 + 1", "--i", "2", f"--place={place}", timeout=20)
+        _assert_one_error_line(proc, "not-on-curve")
+        assert proc.stderr == f"error[not-on-curve]: {message}\n"
 
     @pytest.mark.parametrize(
         "model, place",

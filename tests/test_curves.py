@@ -66,6 +66,19 @@ G2 = HyperellipticModel.from_poly(
 G3 = HyperellipticModel.from_poly(X**7 - X + 1)  # non-split genus 3
 
 
+def _seeded_short_weierstrass(count, seed=31):
+    """(a, b) of count smooth y^2 = x^3 + a x + b, drawn from a seeded generator."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+        if 4 * a**3 + 27 * b**2:
+            out.append((a, b))
+    return out
+
+
+SEEDED_SHORT_WEIERSTRASS = _seeded_short_weierstrass(12)
+
+
 class TestModelValidation:
     def test_even_degree(self):
         with pytest.raises(EvenDegreeError):
@@ -347,79 +360,56 @@ class TestPrecision:
             else:
                 assert max(seen) > 1
 
-    def test_each_place_checked_once(self, monkeypatch):
+    def test_each_expansion_checks_its_place_first(self, monkeypatch):
         # from a tiny start every place with a y-monomial doubles through
-        # several precisions, one y frame each; only a new place checks
-        import collections
-
+        # several precisions: the ladder checks its place once, and each
+        # new y frame checks it again before taking its square root
         import ramloci.curves as curves_mod
 
-        checked = []
+        events = []
         real_check = HyperellipticModel.check_place
+        real_sqrt = curves_mod.series_sqrt
 
         def spy_check(model, place):
-            checked.append((model, place))
+            events.append(("check", model, place))
             return real_check(model, place)
 
+        def spy_sqrt(*args, **kwargs):
+            events.append(("sqrt",))
+            return real_sqrt(*args, **kwargs)
+
         monkeypatch.setattr(HyperellipticModel, "check_place", spy_check)
+        monkeypatch.setattr(curves_mod, "series_sqrt", spy_sqrt)
         seen = _spy_y_precision(monkeypatch)
         monkeypatch.setattr(curves_mod, "start_precision", lambda g, i: 1)
-        _exact_frame.cache_clear()
         _local_frame.cache_clear()
         for i in (0, 2):
             for model, place in PRECISION_PLACES:
+                events.clear()
                 _series_orders(model, build_basis(model, i), place)
+                roots = len(events) // 2
+                check = ("check", model, place)
+                assert events == [check] + [check, ("sqrt",)] * roots, (model.f, place, i)
         assert len(seen) > len(PRECISION_PLACES)
-        assert collections.Counter(checked) == collections.Counter(PRECISION_PLACES)
-        # a place off the curve raises on every call and is never cached
+        # a place off the curve raises on every call, before any square
+        # root, and enters no cache
         bad = Place.ordinary(2, 5)
         with pytest.raises(NotOnCurveError) as direct:
             real_check(E2, bad)
-        cached = (_exact_frame.cache_info().currsize, _local_frame.cache_info().currsize)
+        cached = _local_frame.cache_info().currsize
+        events.clear()
         for _ in range(2):
             for call in (
+                lambda: _local_frame(E2, bad, 8),
                 lambda: expand_at(E2, DX_OVER_Y, bad, 8),
-                lambda: _series_orders(E2, build_basis(E2, 0), bad),
-                lambda: order_sequence_at(E2, build_basis(E2, 0), bad),
+                lambda: _series_orders(E2, build_basis(E2, 2), bad),
+                lambda: order_sequence_at(E2, build_basis(E2, 2), bad),
             ):
                 with pytest.raises(NotOnCurveError) as raised:
                     call()
                 assert str(raised.value) == str(direct.value)
-        assert (_exact_frame.cache_info().currsize, _local_frame.cache_info().currsize) == cached
-
-    def test_model_hash_is_computed_once(self, monkeypatch):
-        # every expand_at looks the model up in the _local_frame cache
-        model = HyperellipticModel.from_poly(X**3 - 2 * X + 5)
-        twin = HyperellipticModel.from_poly(X**3 - 2 * X + 5)
-        assert model == twin and hash(model) == hash(twin)
-        hashed = []
-        real_hash = UniPoly.__hash__
-
-        def spy_hash(p):
-            hashed.append(p)
-            return real_hash(p)
-
-        monkeypatch.setattr(UniPoly, "__hash__", spy_hash)
-        for _ in range(10):
-            expand_at(model, DX_OVER_Y, Place.infinity(), 8)
-        assert hashed == []
-
-    def test_place_hash_is_computed_once(self, monkeypatch):
-        # the _local_frame cache hashes the place on every expand_at
-        place = Place.ordinary(Fraction(2), Fraction(3))
-        assert hash(place) == hash(Place.ordinary(2, 3))
-        expand_at(E2, DX_OVER_Y, place, 8)
-        hashed = []
-        real_hash = Fraction.__hash__
-
-        def spy_hash(q):
-            hashed.append(q)
-            return real_hash(q)
-
-        monkeypatch.setattr(Fraction, "__hash__", spy_hash)
-        for _ in range(10):
-            expand_at(E2, DX_OVER_Y, place, 8)
-        assert hashed == []
+        assert ("sqrt",) not in events
+        assert _local_frame.cache_info().currsize == cached
 
     @pytest.mark.parametrize("i", range(0, 9))
     def test_default_start_needs_no_doubling(self, monkeypatch, i):
@@ -540,7 +530,7 @@ class TestSectionLadder:
         def refuse(*args, **kwargs):
             raise AssertionError("_series_orders expanded y or inverted a series")
 
-        for name in ("series_sqrt", "_solve_branch_parameter", "series_invert"):
+        for name in ("series_sqrt", "_solve_branch_parameter", "series_invert", "_local_frame"):
             monkeypatch.setattr(curves_mod, name, refuse)
         seen = []
         real = curves_mod.staircase_valuations
@@ -550,8 +540,6 @@ class TestSectionLadder:
             return real(series_list)
 
         monkeypatch.setattr(curves_mod, "staircase_valuations", spy)
-        _exact_frame.cache_clear()
-        _local_frame.cache_clear()
         for (model, place), seq in expected.items():
             assert _series_orders(model, build_basis(model, i), place) == seq
         assert seen and all(s.exact for s in seen)
@@ -655,18 +643,23 @@ class TestClosedForms:
         again = HyperellipticModel.from_poly(G2.f)
         assert order_sequence_at(again, build_basis(G2, 3), Place.branch(0)).orders == (0, 1, 2, 4, 6)
 
-    def test_place_and_range_checks_hold_on_the_closed_forms(self):
+    def test_place_and_range_checks_hold_on_the_closed_forms(self, monkeypatch):
+        # a located place is checked without building its local frame
+        import ramloci.curves as curves_mod
+
+        def refuse(*args):
+            raise AssertionError("a located place built a local frame")
+
+        monkeypatch.setattr(curves_mod, "_exact_frame", refuse)
+        monkeypatch.setattr(curves_mod, "_local_frame", refuse)
         with pytest.raises(NotOnCurveError) as raised:
             order_sequence_at(E1, build_basis(E1, 2), Place.branch(2))
         with pytest.raises(NotOnCurveError) as direct:
             E1.check_place(Place.branch(2))
         assert str(raised.value) == str(direct.value)
-        # a located place is checked without building its local frame
-        misses = _exact_frame.cache_info().misses
         model = HyperellipticModel.from_poly(X**3 - 4 * X)
         for place in (Place.branch(2), Place.infinity()):
             order_sequence_at(model, build_basis(model, 3), place)
-        assert _exact_frame.cache_info().misses == misses
         # a basis whose exponents leave the system's degree is an engine bug
         bad = MonomialBasis(G2, 0, ((0, 0), (5, 0)))
         for place in (Place.branch(1), Place.infinity()):
@@ -1207,6 +1200,20 @@ class TestDivisionPolynomials:
             assert pn.is_squarefree(), n
             assert (pn * f).is_squarefree(), n
 
+    @pytest.mark.parametrize(
+        "f",
+        [X**3 + 1, X**3 - X, X**3 - 2 * X + 5, X**3 - Fraction(1, 4) * X, X**3 + Fraction(3, 2) * X**2 - 7]
+        + [X**3 + a * X + b for a, b in SEEDED_SHORT_WEIERSTRASS],
+    )
+    def test_stripped_determinant_is_squarefree(self, f):
+        # torsion_check compares the stripped block determinant as it is:
+        # by Riemann-Roch each ramification point of the j-twisted system
+        # has weight 1, so no factor repeats
+        model = HyperellipticModel.from_poly(f)
+        for j in range(1, 9):
+            det = _wronskian_parts(model, build_basis(model, j)).det
+            assert _strip_branch_factors(det, f).is_squarefree(), j
+
     def test_vanishes_on_sympy_torsion_points(self):
         # y^2 = x^3 + 1 has torsion Z/6: psi_m vanishes at a point of
         # exact order n >= 3 iff n divides m
@@ -1241,6 +1248,36 @@ class TestTorsionOracle:
         for j in range(1, 5):
             assert torsion_check(model, j), j
             assert total_weight(model, j).total == (j + 1) ** 2
+
+    @pytest.mark.parametrize(
+        "model, j, factor",
+        [(E2, 2, X), (E1, 2, 3 * X**4 - 6 * X**2 - 1), (E2, 5, X - 2)],
+        ids=["x^3+1-j2", "x^3-x-j2", "x^3+1-j5"],
+    )
+    def test_repeated_factor_fails(self, monkeypatch, model, j, factor):
+        # a factor of the stripped determinant, squared, moves no branch
+        # weight; only the comparison as it is can see it
+        import ramloci.curves as curves_mod
+
+        real = curves_mod._wronskian_parts
+
+        def squared(model, basis):
+            det, k, e, c = real(model, basis)
+            assert det._quotient(factor) is not None
+            return curves_mod._WronskianParts(det * factor, k, e, c)
+
+        assert torsion_check(model, j)
+        monkeypatch.setattr(curves_mod, "_wronskian_parts", squared)
+        assert not torsion_check(model, j)
+
+    def test_takes_no_squarefree_part(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("torsion_check took a squarefree part")
+
+        monkeypatch.setattr(UniPoly, "squarefree_part", refuse)
+        for model in (E1, E2):
+            for j in range(1, 7):
+                assert torsion_check(model, j), (model.f, j)
 
     def test_two_torsion_locus_explicitly(self):
         # j = 1: the x-locus is exactly the roots of f

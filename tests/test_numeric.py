@@ -504,6 +504,12 @@ class TestUniPoly:
 
 
 class TestSeries:
+    def test_repr_follows_the_polynomial_printers(self):
+        # unit coefficients dropped, a constant as its value, + - as -
+        assert repr(Series(-1, [1, 0, -1, Fraction(-5, 2)], exact=True)) == "Series(t^-1 - t - 5/2*t^2)"
+        assert repr(Series(0, [-1, 2])) == "Series(-1 + 2*t + O(t^2))"
+        assert repr(Series.zero()) == "Series(0)"
+
     def test_invert_geometric(self):
         s = Series(0, [1, -1], exact=True)  # 1 - t
         inv = series_invert(s, prec=5)

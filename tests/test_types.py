@@ -26,7 +26,7 @@ from ramloci.curves import (
     MonomialBasis,
     OrderSequence,
     Place,
-    _exact_frame,
+    _local_frame,
     affine_wronskian,
     build_basis,
     division_polynomial,
@@ -179,13 +179,13 @@ class TestEqualityAndHash:
         assert a is not b and a == b and hash(a) == hash(b)
         assert a != E1
 
-    def test_equal_keys_hit_one_exact_frame_entry(self):
-        _exact_frame.cache_clear()
+    def test_equal_keys_hit_one_local_frame_entry(self):
+        _local_frame.cache_clear()
         model_a, model_b = parse_curve("y^2 = x^3 + 1"), parse_curve("y^2 = x^3 + 1")
         place_a, place_b = Place.ordinary(2, 3), Place("ordinary", Fraction(2), Fraction(3))
-        first = _exact_frame(model_a, place_a)
-        second = _exact_frame(model_b, place_b)
-        info = _exact_frame.cache_info()
+        first = _local_frame(model_a, place_a, 8)
+        second = _local_frame(model_b, place_b, 8)
+        info = _local_frame.cache_info()
         assert second is first and (info.hits, info.misses) == (1, 1)
 
     def test_value_types_compare_by_value(self):
