@@ -11,9 +11,9 @@ exact integer data:
 * branch place  (x0, 0):              x = x0 + t^2/c with c = f'(x0)
 * infinity:                           x = t^-2
 
-so x and dx/dt are exact everywhere, and y is one square root of the
-exact series f(x(t)), with the sign of y0 at an ordinary place and
-leading term t at a branch place.
+so x and dx/dt are exact everywhere, and at every place y is the square
+root of the exact series f(x(t)) for that x, with the sign of y0 at an
+ordinary place and leading term t at a branch place.
 
 Located order sequences, at rational branch places and at infinity, are
 closed forms in the basis exponents, cross-checked against the
@@ -22,7 +22,7 @@ dx/dt, as two ladders from dx/dt and y dx/dt, each multiplied by the
 exact x once per rung, and reads the orders off by valuation-staircase
 elimination; it serves ordinary places (``curve orders --place``) and is
 the tests' oracle for the closed forms.  A place is checked where it is
-expanded, in ``_exact_frame`` and in each new cached y frame; a located
+expanded, in ``_exact_frame``, which the y frame builds on; a located
 branch place is checked by ``order_sequence_at``.  The weight carried by
 places the engine cannot expand exactly (ordinary points with irrational
 coordinates, branch points over irrational roots of f) is recovered
@@ -133,21 +133,12 @@ class Place(Value):
 
 
 class HyperellipticModel(Value):
-    """Validated odd hyperelliptic model y^2 = f(x)."""
+    """Odd hyperelliptic model y^2 = f(x), built from f alone: the
+    constructor validates f and derives the genus and branch abscissae."""
 
     __slots__ = ("f", "genus", "branch_x", "splits")
 
-    def __init__(self, f: UniPoly, genus: int, branch_x: tuple[Fraction, ...], splits: bool):
-        self._init(f, genus, branch_x, splits)
-
-    def _key(self) -> tuple:
-        return (self.f,)  # f determines the rest
-
-    def __repr__(self):
-        return f"HyperellipticModel(y^2 = {self.f})"
-
-    @classmethod
-    def from_poly(cls, f: UniPoly) -> "HyperellipticModel":
+    def __init__(self, f: UniPoly):
         if f.is_zero():
             raise CurveValidationError("f is the zero polynomial")
         if f.degree < 3:
@@ -159,8 +150,18 @@ class HyperellipticModel(Value):
         if not f.is_squarefree():
             raise NotSquarefreeError("f has a repeated root; the curve would be singular")
         branch = tuple(f.simple_rational_roots())
-        genus = (f.degree - 1) // 2
-        return cls(f=f, genus=genus, branch_x=branch, splits=len(branch) == f.degree)
+        self._init(f, (f.degree - 1) // 2, branch, len(branch) == f.degree)
+
+    def _key(self) -> tuple:
+        return (self.f,)
+
+    def __repr__(self):
+        return f"HyperellipticModel(y^2 = {self.f})"
+
+    @classmethod
+    def from_poly(cls, f: UniPoly) -> "HyperellipticModel":
+        """``cls(f)``, under the name the CLI and the benchmark tracer call."""
+        return cls(f)
 
     def monomial(self, a: int, b: int) -> "CurveFunction":
         return CurveFunction(self, UniPoly.x() ** a, b, UniPoly.const(1))
@@ -275,26 +276,12 @@ def build_basis(model: HyperellipticModel, i: int) -> MonomialBasis:
 # Local expansions
 
 
-def _on_monomial(p: UniPoly, k: int, c: Fraction) -> Series:
-    """p(c t^k) as an exact Laurent polynomial: x^j goes to c^j t^(kj)."""
-    top = p.degree
-    a, b = c.numerator, c.denominator
-    lo = min(0, k * top)
-    nums = [0] * (abs(k) * top + 1)
-    for j, cj in enumerate(p.nums):
-        nums[k * j - lo] = cj * a**j * b ** (top - j)
-    return Series.from_numerators(lo, nums, p.den * b**top, True)
-
-
-def _solve_branch_parameter(fshift: UniPoly, prec: int) -> Series:
-    """y at a branch place (x0, 0) in the parameter t with t^2 = c (x - x0),
-    where fshift is f(x0 + s) and c = f'(x0) is nonzero as f is squarefree.
-
-    Writing f(x0 + s) = s h(s), y^2 = f(x0 + t^2/c) = t^2 h(t^2/c)/c, and
-    the unit h(t^2/c)/c is exact with leading coefficient h(0)/c = 1, so
-    y is one square root of an exact series.
-    """
-    return series_sqrt(_on_monomial(fshift, 2, 1 / fshift[1]), prec=prec)
+def _solve_branch_parameter(fx: Series, prec: int) -> Series:
+    """y to prec coefficients at every kind of place: the square root of
+    the exact fx = f(x(t)) with positive leading coefficient.  The name
+    predates the exact frame; ``perfbench/tracer.py`` times this function
+    as the ``curves.branch_newton`` layer."""
+    return series_sqrt(fx, prec=prec)
 
 
 def _exact_frame(model: HyperellipticModel, place: Place):
@@ -317,20 +304,13 @@ def _exact_frame(model: HyperellipticModel, place: Place):
 @functools.lru_cache(maxsize=256)
 def _local_frame(model: HyperellipticModel, place: Place, prec: int):
     """y at a place, the inexact part of the local frame: the square root
-    of the exact f(x(t)) to prec coefficients, with the sign of y0 at an
-    ordinary place and leading term t at a branch place."""
-    model.check_place(place)  # a place off the curve raises and is never cached
-    if place.kind == INFINITY:
-        y = series_sqrt(_on_monomial(model.f, -2, Fraction(1)), prec=prec)
-    else:
-        fs = model.f.shift(place.x)
-        if place.kind == BRANCH:
-            y = _solve_branch_parameter(fs, prec)
-        else:
-            y = series_sqrt(_on_monomial(fs, 1, Fraction(1)), prec=prec)
-            if place.y < 0:
-                y = -y
-    return y
+    of f(x(t)) for the x of ``_exact_frame``, which checks the place, so
+    one off the curve raises and is never cached.  f(x(t)) leads with y0^2
+    at an ordinary place, where y takes the sign of y0, and with 1 at the
+    others; ``_solve_branch_parameter`` keeps the root under a traced name."""
+    x, _ = _exact_frame(model, place)
+    y = _solve_branch_parameter(poly_on_series(model.f, x), prec)
+    return -y if place.kind == ORDINARY and place.y < 0 else y
 
 
 def expand_at(model: HyperellipticModel, fn, place: Place, precision: int) -> Series:

@@ -48,9 +48,9 @@ the primitive q x - p for x0 = p/q with ``_divide_linear``, a synthetic
 division over Z with one carry and no list slices.  ``gcd`` runs its
 pseudo-remainder sequence only when the integer gcd of the inputs'
 values at a large power of two does not prove them coprime.
-``poly_on_series`` serves only ``expand_at``, on the numerator and
-denominator of a function: Horner's rule on ``Series`` objects with the
-integer numerators of the polynomial.  The Newton loops of
+``poly_on_series`` serves ``expand_at`` and ``curves._local_frame``: it
+composes a polynomial with an exact series by Horner's rule on ``Series``
+objects with the polynomial's integer numerators.  The Newton loops of
 ``series_invert`` and ``series_sqrt`` carry one integer list over one
 denominator, removing its content at every step.
 
@@ -638,22 +638,6 @@ class UniPoly(_Exact, Value):
         acc = _homogeneous_value(self.nums, v.numerator, v.denominator)
         return Fraction(acc, self.den * v.denominator ** max(len(self.nums) - 1, 0))
 
-    def shift(self, x0) -> "UniPoly":
-        """Taylor shift: the polynomial p(x0 + x).  For x0 = p/q the
-        integer Taylor shift t of the nums[k] q^(n-k) by p gives
-        coefficient j as t_j / (den q^(n-j))."""
-        if self.is_zero():
-            return self
-        x0 = Fraction(x0)
-        p, q = x0.numerator, x0.denominator
-        n = self.degree
-        nums = [c * q ** (n - k) for k, c in enumerate(self.nums)]
-        if p:
-            for i in range(n):
-                for j in range(n - 1, i - 1, -1):
-                    nums[j] += p * nums[j + 1]
-        return UniPoly.from_numerators([c * q**j for j, c in enumerate(nums)], self.den * q**n)
-
     def root_multiplicity(self, x0) -> int:
         """Multiplicity of x0 = p/q as a root (0 when p(x0) != 0): how many
         times the numerators divide by the primitive q x - p, exactly over
@@ -669,8 +653,8 @@ class UniPoly(_Exact, Value):
 
     def simple_rational_roots(self) -> list[Fraction]:
         """Sorted rational roots of a squarefree polynomial of positive
-        degree, which the caller has checked (``is_squarefree``): the root
-        search may not end otherwise.
+        degree.  A repeated rational root raises ``ValueError`` instead of
+        a search without end (``_integer_root_candidates``).
 
         With numerators of degree n and lead c, q(z) = c^(n-1) p(z/c) is
         monic and squarefree over Z, so z = c x is an integer for every
@@ -709,12 +693,14 @@ def _integer_root_candidates(cs):
     reduces to a simple root mod P whose lift is z mod M, so z is the
     symmetric residue of one lift.  Such a P exists because q is
     squarefree: every prime not dividing its discriminant qualifies.
+    No prime does when q has a repeated integer root, so once eight
+    primes are rejected q is tested once and, if not squarefree, refused.
     """
     dcs = [k * c for k, c in enumerate(cs)][1:]
     n = len(cs) - 1
     exp = max((abs(cs[n - k]).bit_length() + k - 1) // k for k in range(1, n + 1))
     bound = 2 ** (exp + 1)
-    prime = 1
+    prime, rejected = 1, 0
     while True:
         prime += 1
         if any(prime % d == 0 for d in range(2, math.isqrt(prime) + 1)):
@@ -722,6 +708,9 @@ def _integer_root_candidates(cs):
         residues = [r for r in range(prime) if _eval_mod(cs, r, prime) == 0]
         if all(_eval_mod(dcs, r, prime) for r in residues):
             break
+        rejected += 1
+        if rejected == 8 and not UniPoly(cs).is_squarefree():
+            raise ValueError("the polynomial has a repeated root")
     candidates = []
     for r in residues:
         m = prime

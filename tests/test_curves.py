@@ -96,6 +96,24 @@ class TestModelValidation:
         with pytest.raises(NotSquarefreeError):
             HyperellipticModel.from_poly(X**3 - 2 * X**2 + X)
 
+    def test_constructor_takes_f_alone(self):
+        # derived fields are never trusted from a caller: the model is
+        # keyed on f, so a wrong genus would hash and compare like E1
+        with pytest.raises(TypeError):
+            HyperellipticModel(E1.f, 2, (), False)
+        model = HyperellipticModel(E1.f)
+        assert model == E1 and (model.genus, model.branch_x, model.splits) == (1, E1.branch_x, True)
+
+    @pytest.mark.parametrize(
+        "f", [UniPoly(), X, X**4 - 1, 2 * X**3 - X, X**3 - 2 * X**2 + X, (X + 1) ** 2 * X**3]
+    )
+    def test_both_spellings_refuse_alike(self, f):
+        with pytest.raises(CurveValidationError) as direct:
+            HyperellipticModel(f)
+        with pytest.raises(CurveValidationError) as named:
+            HyperellipticModel.from_poly(f)
+        assert type(direct.value) is type(named.value) and str(direct.value) == str(named.value)
+
     def test_one_gcd_and_no_division_per_root(self, monkeypatch):
         # a regression guard: f is squarefree once gcd(f, f') is 1, so every
         # rational root is simple and one evaluation settles each candidate
@@ -231,7 +249,10 @@ class TestExpansion:
         # (x, dx/dt, y) on y^2 = x^3 - 2x + 5 at the ordinary places
         # (2, 3) and (2, -3), where x = 2 + t, at infinity, where x = t^-2,
         # and on y^2 = x^3 - 2x + 4 at the branch place (-2, 0), where
-        # x = -2 + t^2/f'(-2) = -2 + t^2/10, with t positive throughout
+        # x = -2 + t^2/f'(-2) = -2 + t^2/10, with t positive throughout;
+        # then rational abscissae: the branch place (1/2, 0) of
+        # y^2 = x^3 - x/4, where f'(1/2) = 1/2 and x = 1/2 + 2t^2, and the
+        # ordinary places (1/4, 17/8) and (1/4, -17/8) of the first curve
         sympy = pytest.importorskip("sympy")
         t = sympy.Symbol("t", positive=True)
         prec = 8
@@ -240,6 +261,9 @@ class TestExpansion:
             (X**3 - 2 * X + 5, Place.ordinary(2, -3), 2 + t, -1),
             (X**3 - 2 * X + 5, Place.infinity(), t**-2, 1),
             (X**3 - 2 * X + 4, Place.branch(-2), -2 + t**2 / 10, 1),
+            (X**3 - X / 4, Place.branch(Fraction(1, 2)), sympy.Rational(1, 2) + 2 * t**2, 1),
+            (X**3 - 2 * X + 5, Place.ordinary(Fraction(1, 4), Fraction(17, 8)), sympy.Rational(1, 4) + t, 1),
+            (X**3 - 2 * X + 5, Place.ordinary(Fraction(1, 4), Fraction(-17, 8)), sympy.Rational(1, 4) + t, -1),
         ]
         for f, place, xt, sign in cases:
             model = HyperellipticModel.from_poly(f)

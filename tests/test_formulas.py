@@ -6,7 +6,7 @@ import pytest
 
 from ramloci import formulas
 from ramloci.bundles import ChernPoly, jet_chern
-from ramloci.chow import DELTA, K2, ChowRing, chow_integrate
+from ramloci.chow import DELTA, K1, K2, ChowRing, chow_integrate, chow_mul
 from ramloci.errors import GridInsufficientError
 from ramloci.formulas import (
     CASES,
@@ -66,6 +66,39 @@ class TestClosedForms:
 
     def test_brill_segre_equals_weight_formula(self):
         assert CLOSED_FORMS["brill_segre"].expr == CLOSED_FORMS["total_weight"].expr
+
+
+class TestThetaPullback:
+    """A second derivation of the counts, through the Jacobian.
+
+    For psi(P, Q) = aQ - bP from C x C to the Jacobian, (2g-2) psi*theta
+    is theta_ab = (g b^2 - ab) K1 + (g a^2 - ab) K2 + (2g-2) ab Delta.
+    W_{g-2} and W^1_g both have class theta^2/2 (Poincare's formula;
+    ACGH I, Ch. I section 5 and Ch. VII-VIII), so the number of points
+    psi sends into a translate of either is theta_ab^2 / (8 (g-1)^2).
+    """
+
+    @staticmethod
+    def _theta_square(a, b):
+        theta = (G * b * b - a * b) * K1 + (G * a * a - a * b) * K2 + (2 * G - 2) * a * b * DELTA
+        return chow_mul(ChowRing(G), theta, theta).cPt
+
+    def test_moving_counts_from_w1g(self):
+        # (a, b) = (g+i+1, i+1): E_plus, which is E plus (g+1) times the
+        # g^3 - g Weierstrass points on the diagonal
+        square = self._theta_square(G + I + 1, I + 1)
+        assert square == 8 * (G - 1) ** 2 * CLOSED_FORMS["E_plus_degree"].expr
+        assert square == 8 * (G - 1) ** 2 * (CLOSED_FORMS["E_degree"].expr + (G + 1) * (G**3 - G))
+
+    def test_effective_count_from_w_g_minus_2(self):
+        # (a, b) = (g+i-1, i+1): D plus g(g-1)^3, because psi maps the
+        # whole diagonal into W_{g-2}
+        square = self._theta_square(G + I - 1, I + 1)
+        assert square == 8 * (G - 1) ** 2 * (CLOSED_FORMS["D_degree"].expr + G * (G - 1) ** 3)
+
+    def test_effective_count_in_genus_two(self):
+        d = CLOSED_FORMS["D_degree"].expr
+        assert [d(2, i) for i in range(17)] == [2 * ((i + 1) ** 4 - 1) for i in range(17)]
 
 
 class TestCertify:

@@ -149,16 +149,6 @@ def _evaluate_by_fractions(p: UniPoly, v) -> Fraction:
     return acc
 
 
-def _shift_by_unipoly_horner(p: UniPoly, x0) -> UniPoly:
-    """Reference Taylor shift: Horner's rule on UniPoly objects in x0 + x."""
-    x0 = Fraction(x0)
-    acc = UniPoly()
-    lin = UniPoly([x0, 1])
-    for c in reversed(p.coeffs):
-        acc = acc * lin + UniPoly.const(c)
-    return acc
-
-
 def _root_multiplicity_by_division(p: UniPoly, x0) -> int:
     """Reference: divide by x - x0 over Q while the value at x0 vanishes."""
     if p.is_zero():
@@ -414,11 +404,6 @@ class TestUniPoly:
         p = (x - 1) ** 3 * (x + 2)
         assert p.squarefree_part() == ((x - 1) * (x + 2)).monic()
 
-    def test_shift(self):
-        x = UniPoly.x()
-        p = x**3 - x
-        assert p.shift(2) == (x + 2) ** 3 - (x + 2)
-
     def test_rational_roots(self):
         x = UniPoly.x()
         p = x**5 - 10 * x**4 + 35 * x**3 - 50 * x**2 + 24 * x
@@ -456,6 +441,14 @@ class TestUniPoly:
             return
         assert p.simple_rational_roots() == [r for r, _ in _rational_roots(p)]
         assert p.simple_rational_roots() == [r for r, _ in _rational_roots_by_divisors(p)]
+
+    def test_simple_rational_roots_refuse_a_repeated_root(self):
+        # no prime makes a repeated rational root simple, so the prime
+        # search alone would never end
+        x = UniPoly.x()
+        for p in ((x + 1) ** 2, x * (x - 1) ** 2, (x - Fraction(1, 2)) ** 2 * (x + 3)):
+            with pytest.raises(ValueError, match="repeated root"):
+                p.simple_rational_roots()
 
     def test_rational_roots_large_constant_term(self):
         x = UniPoly.x()
@@ -767,13 +760,6 @@ class TestIntegerKernels:
         if x0.denominator == 1:
             assert p.evaluate(int(x0)) == value
 
-    @given(kernel_polys, points)
-    @settings(deadline=None, max_examples=150)
-    def test_shift_matches_unipoly_horner(self, p, x0):
-        out = p.shift(x0)
-        assert out.coeffs == _shift_by_unipoly_horner(p, x0).coeffs
-        assert all(type(c) is Fraction for c in out.coeffs)
-
     @given(nonzero_polys, points, st.integers(0, 4))
     @settings(deadline=None, max_examples=150)
     def test_root_multiplicity_of_planted_roots(self, base, x0, m):
@@ -819,7 +805,7 @@ class TestIntegerKernels:
         for p in (a, a * b, a * b + c, c * lin**m, big, big * b):
             assert _outcome(operator.truediv, p, b) == _outcome(_exact_div_by_fractions, p, b)
             assert p.gcd(b) == b.gcd(p) == _gcd_by_fractions(p, b)
-            for out in (p.gcd(b), p.shift(x0), p.derivative(), p.monic(), -p, p + c):
+            for out in (p.gcd(b), p.derivative(), p.monic(), -p, p + c):
                 _assert_canonical(out)
             if p:
                 assert p.root_multiplicity(x0) == _root_multiplicity_by_division(p, x0)
@@ -830,7 +816,7 @@ class TestIntegerKernels:
         for divide in (operator.truediv, _divmod_by_fractions):
             with pytest.raises(ZeroDivisionError):
                 divide(UniPoly.x(), zero)
-        assert zero.evaluate(Fraction(3, 7)) == 0 and zero.shift(Fraction(-2, 3)) == zero
+        assert zero.evaluate(Fraction(3, 7)) == 0
         with pytest.raises(ValueError) as ours:
             zero.root_multiplicity(1)
         with pytest.raises(ValueError) as ref:
@@ -838,7 +824,7 @@ class TestIntegerKernels:
         assert str(ours.value) == str(ref.value)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_shift_and_multiplicity_match_sympy(self, seed):
+    def test_multiplicity_matches_sympy(self, seed):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         rng = random.Random(seed)
@@ -850,8 +836,6 @@ class TestIntegerKernels:
             poly = sympy.Poly(
                 [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x, domain="QQ"
             )
-            want = poly.shift(sympy.Rational(x0.numerator, x0.denominator)).all_coeffs()[::-1]
-            assert p.shift(x0).coeffs == tuple(Fraction(int(c.p), int(c.q)) for c in want)
             roots = {Fraction(int(r.p), int(r.q)): k for r, k in poly.ground_roots().items()}
             assert p.root_multiplicity(x0) == roots.get(x0, 0) >= m
 
