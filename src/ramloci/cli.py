@@ -37,7 +37,6 @@ from .errors import (
     CurveSyntaxError,
     InconclusiveError,
     InternalCheckError,
-    IrrationalBranchError,
     RamlociError,
 )
 from .numeric import UniPoly
@@ -192,20 +191,9 @@ class _Parser:
         return exponent, Fraction(1) if coeff is None else coeff
 
 
-def parse_curve(text: str, require_split: bool = False) -> HyperellipticModel:
-    """Parse and validate "y^2 = f(x)" into a hyperelliptic model.
-
-    With ``require_split`` the model must have all branch x-coordinates
-    rational; weight bookkeeping itself handles non-split f, so this is
-    only a strictness switch.
-    """
-    poly = _Parser(text).parse_equation()
-    model = HyperellipticModel.from_poly(poly)
-    if require_split and not model.splits:
-        raise IrrationalBranchError(
-            "f does not split over Q; rerun without --require-split"
-        )
-    return model
+def parse_curve(text: str) -> HyperellipticModel:
+    """Parse "y^2 = f(x)" into a hyperelliptic model, which validates f."""
+    return HyperellipticModel.from_poly(_Parser(text).parse_equation())
 
 
 # A command-line integer: optional sign and ASCII digits, capped like a
@@ -322,7 +310,7 @@ def cmd_curve(args):
         )
     if args.place is not None and args.curve_cmd != "orders":
         raise ConfigError("--place applies only to curve orders")
-    model = parse_curve(args.model, require_split=args.require_split)
+    model = parse_curve(args.model)
     i, code = args.i, 0
     record = {"schema": SCHEMA_VERSION, "command": args.curve_cmd, "model": f"y^2 = {model.f}"}
     if args.curve_cmd == "basis":
@@ -410,7 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--i", type=_twist, default=0, help="twist index (torsion order minus one for torsion)")
     curve.add_argument("--place", default=None, help='place: "inf", "x0" (branch), or "x0,y0"')
     curve.add_argument("--format", choices=_FORMATS, default="pretty")
-    curve.add_argument("--require-split", action="store_true")
     return parser
 
 

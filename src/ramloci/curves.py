@@ -201,6 +201,8 @@ class CurveFunction(Value):
     __slots__ = ("model", "num", "k", "den")
 
     def __init__(self, model, num: UniPoly, k: int, den: UniPoly):
+        if k not in (0, 1):
+            raise ValueError(f"the power of y must be 0 or 1, got {k}")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         scale = 1 / den.lead
@@ -230,12 +232,30 @@ class MonomialBasis(Value):
     infinity) identifies them with a basis of the sections of the
     (i+1)-fold twist of the canonical bundle at infinity; there are
     exactly g+i of them and their pole orders are pairwise distinct.
+    Built from (model, i) alone: the wronskian reads the x-monomials as
+    1, x, ..., x^A, so exponents from a caller could skew it silently.
     """
 
     __slots__ = ("model", "i", "exponents")
 
-    def __init__(self, model: HyperellipticModel, i: int, exponents: tuple[tuple[int, int], ...]):
-        self._init(model, i, exponents)
+    def __init__(self, model: HyperellipticModel, i: int):
+        if i < 0:
+            raise ValueError("i must be nonnegative")
+        g = model.genus
+        w = 2 * g + 1
+        limit = 2 * g + i - 1
+        exps = []
+        for b in (0, 1):
+            a = 0
+            while 2 * a + w * b <= limit:
+                exps.append((a, b))
+                a += 1
+        exps.sort(key=lambda ab: 2 * ab[0] + w * ab[1])
+        if len(exps) != g + i:
+            raise InternalCheckError(
+                f"basis staircase produced {len(exps)} monomials, expected {g + i}"
+            )
+        self._init(model, i, tuple(exps))
 
     def __repr__(self):
         return f"MonomialBasis(i={self.i}, {self.monomial_names()})"
@@ -253,23 +273,8 @@ class MonomialBasis(Value):
 
 
 def build_basis(model: HyperellipticModel, i: int) -> MonomialBasis:
-    if i < 0:
-        raise ValueError("i must be nonnegative")
-    g = model.genus
-    w = 2 * g + 1
-    limit = 2 * g + i - 1
-    exps = []
-    for b in (0, 1):
-        a = 0
-        while 2 * a + w * b <= limit:
-            exps.append((a, b))
-            a += 1
-    exps.sort(key=lambda ab: 2 * ab[0] + w * ab[1])
-    if len(exps) != g + i:
-        raise InternalCheckError(
-            f"basis staircase produced {len(exps)} monomials, expected {g + i}"
-        )
-    return MonomialBasis(model=model, i=i, exponents=tuple(exps))
+    """``MonomialBasis(model, i)``, under the name the CLI and the tests call."""
+    return MonomialBasis(model, i)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,10 @@ class NotMonicError(CurveValidationError):
 
 
 class IrrationalBranchError(CurveValidationError):
-    """Full divisor bookkeeping was requested but f does not split over Q."""
+    """f does not split over Q.  No longer raised: the CLI's split-only
+    option is gone.  Kept until ROADMAP item 4 freezes the heap after the
+    benchmark's set-up, because deleting it moves a gen-0 collection
+    from the first ``certify_grid`` item into the second."""
 
     code = "irrational-branch"
 

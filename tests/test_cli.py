@@ -28,7 +28,6 @@ from ramloci.errors import (
     ConfigError,
     CurveSyntaxError,
     EvenDegreeError,
-    IrrationalBranchError,
     NotMonicError,
 )
 from ramloci.formulas import CLOSED_FORMS, ClosedForm
@@ -247,9 +246,8 @@ class TestParseCurve:
         with pytest.raises(NotMonicError):
             parse_curve("y^2 = 3*x^3 - x")
 
-    def test_require_split(self):
-        parse_curve("y^2 = x^3 + 1")
-        with pytest.raises(IrrationalBranchError):
+    def test_parse_curve_takes_the_text_alone(self):
+        with pytest.raises(TypeError):
             parse_curve("y^2 = x^3 + 1", require_split=True)
 
     def test_parse_place(self):
@@ -548,6 +546,11 @@ class TestCurveCommand:
     def test_usage_error_is_one_line(self, argv):
         proc = run_module(*argv, timeout=20)
         _assert_one_error_line(proc, "usage")
+
+    def test_split_only_option_is_gone(self):
+        proc = run_module("curve", "weights", "y^2 = x^3 + 1", "--require-split", timeout=20)
+        _assert_one_error_line(proc, "usage")
+        assert proc.stdout == ""
 
     def test_help_exits_zero(self):
         proc = run_module("curve", "--help", timeout=20)

@@ -192,6 +192,28 @@ class TestBasis:
                 assert len(set(orders)) == len(orders)
                 assert list(orders) == sorted(orders)
 
+    def test_basis_is_built_from_model_and_twist_alone(self):
+        exps = build_basis(E1, 2).exponents
+        with pytest.raises(TypeError):
+            MonomialBasis(E1, 2, exps)
+        with pytest.raises(ValueError):
+            MonomialBasis(E1, -1)
+        for model in (E1, E2, G2, G3, HALF_ROOTS):
+            for i in range(5):
+                assert MonomialBasis(model, i) == build_basis(model, i)
+
+
+class TestCurveFunction:
+    def test_power_of_y_is_zero_or_one(self):
+        # y^2 = f is not y: a power outside {0, 1} has no canonical form
+        with pytest.raises(ValueError):
+            E1.monomial(0, 2)
+        with pytest.raises(ValueError):
+            E1.monomial(1, 3)
+        for k in (2, -1):
+            with pytest.raises(ValueError):
+                CurveFunction(E1, X, k, UniPoly.const(1))
+
 
 class TestExpansion:
     def test_x_at_branch_has_valuation_two(self):
@@ -685,7 +707,8 @@ class TestClosedForms:
         for place in (Place.branch(2), Place.infinity()):
             order_sequence_at(model, build_basis(model, 3), place)
         # a basis whose exponents leave the system's degree is an engine bug
-        bad = MonomialBasis(G2, 0, ((0, 0), (5, 0)))
+        bad = object.__new__(MonomialBasis)
+        bad._init(G2, 0, ((0, 0), (5, 0)))
         for place in (Place.branch(1), Place.infinity()):
             with pytest.raises(InternalCheckError, match="out of range"):
                 order_sequence_at(G2, bad, place)
