@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import _kernels
 from .errors import (
@@ -136,7 +136,7 @@ class HyperellipticModel(Value):
     """Odd hyperelliptic model y^2 = f(x), built from f alone: the
     constructor validates f and derives the genus and branch abscissae."""
 
-    __slots__ = ("f", "genus", "branch_x", "splits")
+    __slots__ = ("f", "genus", "branch_x")
 
     def __init__(self, f: UniPoly):
         if f.is_zero():
@@ -149,8 +149,7 @@ class HyperellipticModel(Value):
             raise NotMonicError(f"leading coefficient {f.lead} is not 1")
         if not f.is_squarefree():
             raise NotSquarefreeError("f has a repeated root; the curve would be singular")
-        branch = tuple(f.simple_rational_roots())
-        self._init(f, (f.degree - 1) // 2, branch, len(branch) == f.degree)
+        self._init(f, (f.degree - 1) // 2, tuple(f.simple_rational_roots()))
 
     def _key(self) -> tuple:
         return (self.f,)
@@ -239,6 +238,7 @@ class MonomialBasis(Value):
     __slots__ = ("model", "i", "exponents")
 
     def __init__(self, model: HyperellipticModel, i: int):
+        i = operator.index(i)
         if i < 0:
             raise ValueError("i must be nonnegative")
         g = model.genus
@@ -348,19 +348,16 @@ def expand_at(model: HyperellipticModel, fn, place: Place, precision: int) -> Se
 # Order sequences via valuation-staircase elimination
 
 
-class OrderSequence(NamedTuple):
-    """Strictly increasing vanishing orders and their weight sum."""
+class OrderSequence(Value):
+    """Strictly increasing vanishing orders and the weight they sum to."""
 
-    orders: tuple[int, ...]
-    weight: int
+    __slots__ = ("orders", "weight")
 
-    @classmethod
-    def from_orders(cls, orders) -> "OrderSequence":
-        orders = tuple(int(o) for o in orders)
+    def __init__(self, orders):
+        orders = tuple(map(operator.index, orders))
         if list(orders) != sorted(set(orders)):
             raise ValueError("orders must be strictly increasing")
-        weight = sum(o - k for k, o in enumerate(orders))
-        return cls(orders=orders, weight=weight)
+        self._init(orders, sum(o - k for k, o in enumerate(orders)))
 
 
 def staircase_valuations(series_list) -> list[int]:
@@ -412,9 +409,9 @@ def order_sequence_at(model: HyperellipticModel, basis: MonomialBasis, place: Pl
     g, d = model.genus, 2 * model.genus - 1 + basis.i
     if place.kind == BRANCH:
         model.check_place(place)  # refuses an x0 that is not a root of f
-        seq = OrderSequence.from_orders(sorted(2 * a + b for a, b in basis.exponents))
+        seq = OrderSequence(sorted(2 * a + b for a, b in basis.exponents))
     elif place.kind == INFINITY:
-        seq = OrderSequence.from_orders(sorted(d - p for p in basis.pole_orders))
+        seq = OrderSequence(sorted(d - p for p in basis.pole_orders))
     else:
         seq = _series_orders(model, basis, place)  # checks the place in _exact_frame
     orders = seq.orders
@@ -452,7 +449,7 @@ def _series_orders(model: HyperellipticModel, basis: MonomialBasis, place: Place
             for a, b in basis.exponents:
                 rung[b] = x * rung[b] if a else (_local_frame(model, place, prec) * dxdt if b else dxdt)
                 sers.append(rung[b])
-            return OrderSequence.from_orders([v + shift for v in staircase_valuations(sers)])
+            return OrderSequence([v + shift for v in staircase_valuations(sers)])
         except InconclusiveError:
             prec *= 2
             if prec > PRECISION_CAP:
@@ -466,16 +463,16 @@ def _series_orders(model: HyperellipticModel, basis: MonomialBasis, place: Place
 # Wronskians and weight bookkeeping
 
 
-class _WronskianParts(NamedTuple):
+class _WronskianParts(Value):
     """The affine wronskian W = c det y^(k%2) / f^e before anything
     cancels, det being the Bareiss determinant of the y-block over Z[x].
     f is squarefree, so f^e has multiplicity e at each root of f and
     every valuation of W is exponent arithmetic on det."""
 
-    det: UniPoly
-    k: int
-    e: int
-    c: Fraction
+    __slots__ = ("det", "k", "e", "c")
+
+    def __init__(self, det: UniPoly, k: int, e: int, c: Fraction):
+        self._init(det, k, e, c)
 
     def branch_ord(self, x0) -> int:  # at the branch place over a rational root x0
         return 2 * (self.det.root_multiplicity(x0) - self.e) + self.k % 2
@@ -564,8 +561,8 @@ def affine_wronskian(model: HyperellipticModel, basis: MonomialBasis) -> CurveFu
     and at most e rounds of dividing det by gcd(det, f) leave num prime
     to the denominator, with no gcd against f^e.
     """
-    num, k, e, c = _wronskian_parts(model, basis)
-    f = model.f
+    parts = _wronskian_parts(model, basis)
+    num, e, f = parts.det, parts.e, model.f
     den = UniPoly.const(1)
     while e:
         shared = num.gcd(f)
@@ -574,7 +571,7 @@ def affine_wronskian(model: HyperellipticModel, basis: MonomialBasis) -> CurveFu
         num = num / shared
         den = den * (f / shared)
         e -= 1
-    return CurveFunction(model, num * c, k % 2, den * f**e)
+    return CurveFunction(model, num * parts.c, parts.k % 2, den * f**e)
 
 
 def ord_at_infinity(model: HyperellipticModel, fn: CurveFunction) -> int:
@@ -608,22 +605,25 @@ def branch_ord_total(model: HyperellipticModel, fn: CurveFunction) -> int:
     return total
 
 
-class WeightReport(NamedTuple):
+class WeightReport(Value):
     """Ramification bookkeeping for one twisted canonical system.
 
     ``entries`` lists the places with exact expansions (rational branch
     places in ascending x order, then infinity).  ``remainder`` is the
     weight at all other places, recovered from the degree-zero divisor
-    of the affine wronskian; it splits into the part at ordinary affine
-    points and the part at branch places over irrational roots of f.
+    of the affine wronskian; it is the sum of the parts at ordinary
+    affine points and at branch places over irrational roots of f.  The
+    constructor derives ``remainder`` and ``total`` from those parts and
+    the entries' weights.
     """
 
-    i: int
-    entries: tuple[tuple[Place, OrderSequence], ...]
-    remainder: int
-    remainder_ordinary: int
-    remainder_branch: int
-    total: int
+    __slots__ = ("i", "entries", "remainder", "remainder_ordinary", "remainder_branch", "total")
+
+    def __init__(self, i: int, entries, remainder_ordinary: int, remainder_branch: int):
+        entries = tuple(entries)
+        remainder = remainder_ordinary + remainder_branch
+        total = sum(seq.weight for _, seq in entries) + remainder
+        self._init(i, entries, remainder, remainder_ordinary, remainder_branch, total)
 
 
 def total_weight(model: HyperellipticModel, i: int) -> WeightReport:
@@ -666,30 +666,24 @@ def total_weight(model: HyperellipticModel, i: int) -> WeightReport:
             f"negative unlocated weight: branch {remainder_branch}, "
             f"ordinary {remainder_ordinary}"
         )
-    remainder = remainder_branch + remainder_ordinary
-    total = sum(seq.weight for _, seq in entries) + remainder
-    return WeightReport(
-        i=i,
-        entries=tuple(entries),
-        remainder=remainder,
-        remainder_ordinary=remainder_ordinary,
-        remainder_branch=remainder_branch,
-        total=total,
-    )
+    return WeightReport(i, entries, remainder_ordinary, remainder_branch)
 
 
 # ---------------------------------------------------------------------------
 # Elliptic torsion oracle
 
 
-@functools.lru_cache(maxsize=512)
+@functools.lru_cache(maxsize=512, typed=True)
 def division_polynomial(model: HyperellipticModel, n: int) -> CurveFunction:
     """n-th division polynomial psi_n of a genus-1 model, as a curve function.
 
+    n is read through ``operator.index``, and the cache is typed, so a
+    float n raises ``TypeError`` even after its integer was cached.
     Vanishes exactly at the nontrivial affine n-torsion points.  The
     recursion runs in Q[x] on p_n, where psi_n = p_n for odd n and
     psi_n = y p_n for even n; every y^4 it meets becomes f^2.
     """
+    n = operator.index(n)
     if model.genus != 1:
         raise UnsupportedModelError("division polynomials need a genus-1 model")
     if n < 1:

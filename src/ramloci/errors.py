@@ -2,6 +2,9 @@
 
 Every error that can escape to the command line carries a short stable
 ``code`` so report consumers can match on it without parsing messages.
+A bad argument to a library call, such as a twist that is not an
+integer, raises the built-in ``TypeError`` or ``ValueError`` instead:
+``InternalCheckError`` (exit 3) means two computations disagreed.
 """
 
 from __future__ import annotations
@@ -49,15 +52,6 @@ class NotSquarefreeError(CurveValidationError):
 
 class NotMonicError(CurveValidationError):
     code = "non-monic"
-
-
-class IrrationalBranchError(CurveValidationError):
-    """f does not split over Q.  No longer raised: the CLI's split-only
-    option is gone.  Kept until ROADMAP item 4 freezes the heap after the
-    benchmark's set-up, because deleting it moves a gen-0 collection
-    from the first ``certify_grid`` item into the second."""
-
-    code = "irrational-branch"
 
 
 class NotOnCurveError(RamlociError):

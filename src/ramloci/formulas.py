@@ -20,24 +20,26 @@ import functools
 from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .bundles import jet_chern, moving_locus_class, special_ramification_class, weierstrass_class
 from .chow import DELTA, ChowRing, chow_integrate, chow_mul
 from .errors import GridInsufficientError
-from .numeric import ParamPoly
+from .numeric import ParamPoly, Value
 
 _G = ParamPoly.g()
 _I = ParamPoly.i()
 _HALF = Fraction(1, 2)
 
 
-class ClosedForm(NamedTuple):
-    """A named closed-form count; its degrees in (g, i) are within _BOUND."""
+class ClosedForm(Value):
+    """A named closed-form count; ``_register`` checks that its degrees
+    in (g, i) are within _BOUND."""
 
-    name: str
-    expr: ParamPoly
-    anchor: str
+    __slots__ = ("name", "expr", "anchor")
+
+    def __init__(self, name: str, expr: ParamPoly, anchor: str):
+        self._init(name, expr, anchor)
 
 
 _BOUND = (8, 8)  # per-variable degree bound of every closed form
@@ -121,23 +123,24 @@ _register(
 )
 
 
-class CertificationReport(NamedTuple):
+class CertificationReport(Value):
     """Outcome of one certification case.
 
     For grid cases the verdict is exact equality of the engine
     polynomial and the closed form, and ``grid`` holds both evaluated
     on a grid that exceeds the declared degree bound; for symbolic
-    cases it is exact equality of the two closed forms.
+    cases it is exact equality of the two closed forms.  The
+    constructor derives ``failures``: the grid rows whose two values
+    differ.  A passing ``certify`` puts one object in both columns, so
+    the identity test spares its rows the ``Fraction`` comparison.
     """
 
-    name: str
-    verdict: bool
-    method: str
-    anchor: str
-    degree_bound: tuple[int, int] | None = None
-    grid_size: tuple[int, int] | None = None
-    grid: tuple = ()
-    failures: tuple = ()
+    __slots__ = ("name", "verdict", "method", "anchor", "degree_bound", "grid_size", "grid", "failures")
+
+    def __init__(self, name, verdict, method, anchor, degree_bound=None, grid_size=None, grid=()):
+        grid = tuple(grid)
+        failures = tuple(row for row in grid if row[2] is not row[3] and row[2] != row[3])
+        self._init(name, verdict, method, anchor, degree_bound, grid_size, grid, failures)
 
     def to_json_dict(self) -> dict:
         return {
@@ -200,7 +203,6 @@ def certify(
         degree_bound=_BOUND,
         grid_size=(len(g_points), len(i_points)),
         grid=grid,
-        failures=() if verdict else tuple(row for row in grid if row[2] != row[3]),
     )
 
 

@@ -55,10 +55,11 @@ objects with the polynomial's integer numerators.  The Newton loops of
 denominator, removing its content at every step.
 
 All values are immutable after construction and safe to share between
-threads and caches: ``ParamPoly``, ``UniPoly``, ``Series`` and every
-other value type of the package derive from ``Value``, which sets the
-fields once, makes assigning or deleting one raise, and compares and
-hashes by value.
+threads and caches: ``ParamPoly``, ``UniPoly``, ``Series``, every other
+value type of the package and every record (order sequences, weight and
+certification reports, closed forms) derive from ``Value``, which sets
+the fields once, makes assigning or deleting one raise, compares and
+hashes by value, and prints ``Name(field=value, ...)`` by default.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class Value:
     A subclass lists its fields in ``__slots__`` and sets them once with
     ``_init``; afterwards assignment and deletion raise.  Two values are
     equal iff they have the same type and equal ``_key()``, by default
-    the tuple of slot values, and hash as that key.
+    the tuple of slot values, and hash as that key.  A value is not a
+    tuple: it neither unpacks nor equals one.
     """
 
     __slots__ = ()
@@ -108,6 +110,10 @@ class Value:
 
     def __hash__(self):
         return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def rat_sqrt(q: Fraction):

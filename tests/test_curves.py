@@ -100,9 +100,10 @@ class TestModelValidation:
         # derived fields are never trusted from a caller: the model is
         # keyed on f, so a wrong genus would hash and compare like E1
         with pytest.raises(TypeError):
-            HyperellipticModel(E1.f, 2, (), False)
+            HyperellipticModel(E1.f, 2, ())
         model = HyperellipticModel(E1.f)
-        assert model == E1 and (model.genus, model.branch_x, model.splits) == (1, E1.branch_x, True)
+        assert model == E1 and (model.genus, model.branch_x) == (1, E1.branch_x)
+        assert not hasattr(model, "splits")
 
     @pytest.mark.parametrize(
         "f", [UniPoly(), X, X**4 - 1, 2 * X**3 - X, X**3 - 2 * X**2 + X, (X + 1) ** 2 * X**3]
@@ -136,9 +137,7 @@ class TestModelValidation:
 
     def test_branch_points(self):
         assert E1.branch_x == (Fraction(-1), Fraction(0), Fraction(1))
-        assert E1.splits
         assert E2.branch_x == (Fraction(-1),)
-        assert not E2.splits
         assert G2.genus == 2 and G2.branch_x == tuple(Fraction(k) for k in range(5))
 
     def test_place_validation(self):
@@ -201,6 +200,12 @@ class TestBasis:
         for model in (E1, E2, G2, G3, HALF_ROOTS):
             for i in range(5):
                 assert MonomialBasis(model, i) == build_basis(model, i)
+
+    @pytest.mark.parametrize("i", [1.5, 2.0, Fraction(2), "2"])
+    def test_twist_that_is_not_an_integer_is_a_type_error(self, i):
+        # a bad argument, not an internal-consistency stop
+        with pytest.raises(TypeError):
+            MonomialBasis(E1, i)
 
 
 class TestCurveFunction:
@@ -673,8 +678,8 @@ class TestClosedForms:
         real = curves_mod._wronskian_parts
 
         def wrong(model, basis):
-            det, k, e, c = real(model, basis)
-            return curves_mod._WronskianParts(det * factor, k, e, c)
+            parts = real(model, basis)
+            return curves_mod._WronskianParts(parts.det * factor, parts.k, parts.e, parts.c)
 
         monkeypatch.setattr(curves_mod, "_wronskian_parts", wrong)
         with pytest.raises(InternalCheckError, match=rf"weight at {re.escape(where)}: order sequence gave"):
@@ -848,7 +853,7 @@ class TestWronskian:
     @pytest.mark.parametrize(
         "model, i", REFERENCE_CASES,
         ids=[
-            f"g{m.genus}{'' if m.splits else 'ns'}{'' if m.f.den == 1 else 'q'}-i{i}"
+            f"g{m.genus}{'' if len(m.branch_x) == m.f.degree else 'ns'}{'' if m.f.den == 1 else 'q'}-i{i}"
             for m, i in REFERENCE_CASES
         ],
     )
@@ -1091,6 +1096,11 @@ class TestWronskian:
 
 
 class TestTotalWeight:
+    def test_twist_that_is_not_an_integer_is_a_type_error(self):
+        # no float remainder or total out of an exact engine
+        with pytest.raises(TypeError):
+            total_weight(E1, 2.0)
+
     def test_elliptic_two_torsion(self):
         report = total_weight(E1, 1)
         assert report.total == 4
@@ -1192,6 +1202,12 @@ class TestTotalWeight:
 
 
 class TestDivisionPolynomials:
+    def test_index_that_is_not_an_integer_is_a_type_error(self):
+        division_polynomial(E1, 2)  # a cached integer does not answer for its float
+        for n in (2.0, 2.5, Fraction(2)):
+            with pytest.raises(TypeError):
+                division_polynomial(E1, n)
+
     def test_bases(self):
         assert division_polynomial(E1, 1) == E1.monomial(0, 0)
         psi2 = division_polynomial(E1, 2)
@@ -1279,6 +1295,10 @@ class TestDivisionPolynomials:
 
 
 class TestTorsionOracle:
+    def test_twist_that_is_not_an_integer_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            torsion_check(E1, 2.0)
+
     @pytest.mark.parametrize("model", [E1, E2], ids=["x^3-x", "x^3+1"])
     @pytest.mark.parametrize("j", range(1, 7))
     def test_ramification_is_torsion(self, model, j):
@@ -1309,9 +1329,9 @@ class TestTorsionOracle:
         real = curves_mod._wronskian_parts
 
         def squared(model, basis):
-            det, k, e, c = real(model, basis)
-            assert det._quotient(factor) is not None
-            return curves_mod._WronskianParts(det * factor, k, e, c)
+            parts = real(model, basis)
+            assert parts.det._quotient(factor) is not None
+            return curves_mod._WronskianParts(parts.det * factor, parts.k, parts.e, parts.c)
 
         assert torsion_check(model, j)
         monkeypatch.setattr(curves_mod, "_wronskian_parts", squared)

@@ -1,8 +1,11 @@
-"""Every name a ``ramloci`` module imports is used there.
+"""Every name a ``ramloci`` module imports is used there, and no module
+builds records with a factory of its own.
 
 A name counts as used when the module reads it (annotations included,
 also those written as strings), when the module's ``__all__`` exports
-it, or when ``ALLOWED`` names it with a reason.
+it, or when ``ALLOWED`` names it with a reason.  Records derive from
+``numeric.Value`` like every other value type, so ``NamedTuple``,
+``namedtuple`` and ``dataclasses`` appear in no module.
 """
 
 import ast
@@ -13,6 +16,8 @@ import pytest
 import ramloci
 
 SRC = Path(ramloci.__file__).resolve().parent
+
+RECORD_FACTORIES = {"NamedTuple", "namedtuple", "dataclass", "dataclasses"}
 
 # (module, name) -> why the module imports a name it does not use
 ALLOWED = {
@@ -85,3 +90,37 @@ def test_allowlist_names_only_unused_imports():
 def test_check_sees_a_string_annotation_and_an_unused_import():
     tree = ast.parse("import os\nfrom x import A, B\ndef f(a: 'A') -> None: pass\n")
     assert set(_imported(tree)) - _used(tree) == {"os", "B"}
+
+
+def _record_factories(tree):
+    """The record factories the module imports, or reads off a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.update([(node.module or "").split(".")[0], *(a.name for a in node.names)])
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found & RECORD_FACTORIES
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_records_have_no_factory_besides_value(path):
+    found = _record_factories(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} uses {sorted(found)}; derive records from numeric.Value"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from typing import Mapping, NamedTuple",
+        "import typing\nclass R(typing.NamedTuple): pass",
+        "from collections import namedtuple",
+        "import dataclasses",
+        "from dataclasses import dataclass, field",
+    ],
+)
+def test_record_factory_check_sees_each_spelling(source):
+    assert _record_factories(ast.parse(source))
+    assert not _record_factories(ast.parse("from typing import Mapping\nimport collections"))

@@ -1,11 +1,12 @@
 """The package's value and record types, and what importing it costs.
 
-Records (order sequences, reports, closed forms) are ``NamedTuple``s;
-value types with arithmetic, validation or a cached hash are
-``__slots__`` classes derived from ``numeric.Value``, which makes them
-immutable and compares and hashes them by value.  Neither kind needs
-``dataclasses``, so a fresh interpreter that imports ramloci and runs a
-command never loads it.
+Value types with arithmetic or validation and records (order sequences,
+reports, closed forms) alike are ``__slots__`` classes derived from
+``numeric.Value``, which makes them immutable, compares and hashes them
+by value, and prints a record as ``Name(field=value, ...)``.  A record
+derives every field that sums up its inputs, and none is a tuple.  No
+value type needs ``dataclasses``, so a fresh interpreter that imports
+ramloci and runs a command never loads it.
 """
 
 import json
@@ -26,13 +27,15 @@ from ramloci.curves import (
     MonomialBasis,
     OrderSequence,
     Place,
+    WeightReport,
     _local_frame,
+    _wronskian_parts,
     affine_wronskian,
     build_basis,
     division_polynomial,
     total_weight,
 )
-from ramloci.formulas import CLOSED_FORMS, engine_polys, run_suite
+from ramloci.formulas import CLOSED_FORMS, CertificationReport, ClosedForm, engine_polys, run_suite
 from ramloci.numeric import ParamPoly, Series, UniPoly, Value
 
 X = UniPoly.x()
@@ -91,6 +94,11 @@ VALUES = {
     "HyperellipticModel": (E1, "f"),
     "MonomialBasis": (build_basis(E1, 2), "i"),
     "CurveFunction": (affine_wronskian(E1, build_basis(E1, 2)), "num"),
+    "OrderSequence": (OrderSequence([0, 1, 3]), "weight"),
+    "_WronskianParts": (_wronskian_parts(E1, build_basis(E1, 2)), "det"),
+    "WeightReport": (total_weight(E1, 1), "total"),
+    "ClosedForm": (CLOSED_FORMS["D_degree"], "expr"),
+    "CertificationReport": (run_suite(name_filter="identity_a")[0], "verdict"),
 }
 
 
@@ -100,12 +108,6 @@ def _all_subclasses(cls):
 
 
 VALUE_TYPES = sorted(cls.__name__ for cls in _all_subclasses(Value))
-RECORDS = {
-    "OrderSequence": (OrderSequence.from_orders([0, 1, 3]), "weight"),
-    "WeightReport": (total_weight(E1, 1), "total"),
-    "CertificationReport": (run_suite(name_filter="identity_a")[0], "verdict"),
-    "ClosedForm": (CLOSED_FORMS["D_degree"], "expr"),
-}
 
 
 def test_every_value_type_has_a_sample():
@@ -114,9 +116,9 @@ def test_every_value_type_has_a_sample():
         assert type(value).__name__ == name
 
 
-@pytest.mark.parametrize("name", VALUE_TYPES + list(RECORDS))
+@pytest.mark.parametrize("name", VALUE_TYPES)
 def test_fields_cannot_be_assigned(name):
-    value, field = VALUES[name] if name in VALUES else RECORDS[name]
+    value, field = VALUES[name]
     old = getattr(value, field)
     with pytest.raises(AttributeError):
         setattr(value, field, old)
@@ -133,6 +135,75 @@ def test_value_types_keep_no_instance_dict(name):
     assert not hasattr(value, "__dict__")
     with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
         del value.not_a_field
+
+
+# each record's repr, exactly as it printed when records were NamedTuples
+RECORD_REPRS = {
+    "OrderSequence": "OrderSequence(orders=(0, 1, 3), weight=1)",
+    "_WronskianParts": "_WronskianParts(det=3*x^4 - 6*x^2 - 1, k=1, e=2, c=Fraction(1, 4))",
+    "WeightReport": "WeightReport(i=1, entries=("
+    + "".join(
+        f"(Place('branch', Fraction({x}, 1), Fraction(0, 1)), OrderSequence(orders=(0, 2), weight=1)), "
+        for x in (-1, 0, 1)
+    )
+    + "(Place('infinity', None, None), OrderSequence(orders=(0, 2), weight=1))), "
+    "remainder=0, remainder_ordinary=0, remainder_branch=0, total=4)",
+    "ClosedForm": "ClosedForm(name='D_degree', expr=g^4*i^2 + 2*g^3*i^3 + g^2*i^4 + 2*g^4*i "
+    "+ g^3*i^2 - 2*g^2*i^3 - g*i^4 - 4*g^3*i - 4*g^2*i^2 + 2*g^2*i + 2*g*i^2, "
+    "anchor='number of effective pairs off the diagonal')",
+    "CertificationReport": "CertificationReport(name='identity_a', verdict=True, "
+    "method='symbolic', anchor='special-ramification count splits as effective plus moving "
+    "pairs', degree_bound=None, grid_size=None, grid=(), failures=())",
+}
+
+
+@pytest.mark.parametrize("name", list(RECORD_REPRS))
+def test_records_print_as_before_and_are_not_tuples(name):
+    value, _ = VALUES[name]
+    assert repr(value) == RECORD_REPRS[name]
+    assert not isinstance(value, tuple) and value != value._key()
+    assert not hasattr(value, "_replace")
+    with pytest.raises(TypeError):
+        _, *_ = value
+
+
+class TestRecordsDeriveWhatTheySum:
+    def test_order_sequence_derives_its_weight(self):
+        assert OrderSequence((0, 1, 3)).weight == 1 and OrderSequence(range(4)).weight == 0
+        assert OrderSequence([0, 2, 4]) == OrderSequence((0, 2, 4))
+        for bad in ((0, 2, 1), (0, 1, 1)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                OrderSequence(bad)
+        with pytest.raises(TypeError):
+            OrderSequence((0, 1, 2), 99)
+        with pytest.raises(TypeError):
+            OrderSequence((0, 1.5))
+        assert not hasattr(OrderSequence, "from_orders")
+
+    def test_weight_report_derives_remainder_and_total(self):
+        entries = (
+            (Place.branch(0), OrderSequence((0, 1, 3))),
+            (Place.infinity(), OrderSequence((0, 2, 4))),
+        )
+        report = WeightReport(2, entries, 5, 7)
+        assert (report.remainder, report.total) == (12, 3 + 1 + 12)
+        assert report.entries == entries
+        with pytest.raises(TypeError):
+            WeightReport(2, entries, 12, 5, 7, 16)
+        real = total_weight(E1, 3)
+        assert real == WeightReport(3, real.entries, real.remainder_ordinary, real.remainder_branch)
+
+    def test_certification_report_derives_its_failures(self):
+        rows = ((1, 0, 2, 2), (1, 1, 3, 4), (2, 0, 5, 5))
+        report = CertificationReport("c", False, "grid", "a", (8, 8), (2, 2), rows)
+        assert report.failures == ((1, 1, 3, 4),)
+        with pytest.raises(TypeError):
+            CertificationReport("c", True, "grid", "a", (8, 8), (2, 2), rows, ())
+        assert CertificationReport("c", True, "symbolic", "a").failures == ()
+
+    def test_closed_form_is_a_plain_record(self):
+        form = CLOSED_FORMS["D_degree"]
+        assert ClosedForm(form.name, form.expr, form.anchor) == form
 
 
 def test_a_cached_division_polynomial_keeps_its_fields():
