@@ -32,8 +32,8 @@ whose divisor has degree zero.
 The affine wronskian and the division polynomials are computed in Q[x]
 and only the result is wrapped as a ``CurveFunction`` num y^k/den with
 k in {0, 1}, a canonical-form value type with no arithmetic of its own.
-The torsion oracle compares the block determinant, stripped of f's
-factors, with the division polynomial as they are.
+The bookkeeping divides f's rational roots out of the block determinant
+once; the torsion oracle compares what is left, stripped of f's factors, with psi_n.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .numeric import (
     Value,
     _bareiss,
     _certified_coprime,
+    _divide_linear,
     _homogeneous_value,
     _monomial,
     _primitive,
@@ -474,8 +475,22 @@ class _WronskianParts(Value):
     def __init__(self, det: UniPoly, k: int, e: int, c: Fraction):
         self._init(det, k, e, c)
 
-    def branch_ord(self, x0) -> int:  # at the branch place over a rational root x0
-        return 2 * (self.det.root_multiplicity(x0) - self.e) + self.k % 2
+    def branch_strip(self, model: HyperellipticModel) -> tuple[list[int], UniPoly]:
+        """det's multiplicity at each root p/q in ``model.branch_x``, by dividing by q x - p while it
+        can, and det stripped of f's factors up to a scalar, against f's cofactor with no rational root."""
+        if not model.branch_x:
+            return [], _strip_branch_factors(self.det, model.f)
+        nums, cof, mults = self.det.nums, model.f.nums, []
+        for x0 in model.branch_x:
+            p, q, m = x0.numerator, x0.denominator, 0
+            while len(nums) > 1 and (quo := _divide_linear(nums, p, q)) is not None:
+                nums, m = quo, m + 1
+            mults.append(m)
+            cof = _divide_linear(cof, p, q)
+        rest = UniPoly.from_numerators(nums, self.det.den)
+        if len(cof) == 1:  # f splits over Q
+            return mults, rest
+        return mults, _strip_branch_factors(rest, UniPoly.from_numerators(cof, model.f.den))
 
     def infinity_ord(self, model: HyperellipticModel) -> int:  # poles 2 and 2g+1 of x, y
         return 2 * (self.e * model.f.degree - self.det.degree) - self.k % 2 * (2 * model.genus + 1)
@@ -633,18 +648,19 @@ def total_weight(model: HyperellipticModel, i: int) -> WeightReport:
     Located weights come from order sequences; everything else comes
     from the wronskian valuation bookkeeping, with the two methods
     cross-checked wherever both apply.  The wronskian valuations are
-    read off its uncancelled parts: one root multiplicity per rational
-    branch root, a degree at infinity, one strip by gcds with f for the
-    sum over all branch places.
+    read off its uncancelled parts: a degree at infinity, and one pass,
+    ``branch_strip``, for each rational root's multiplicity and the strip
+    of f's factors that sums over all branch places.
     """
     g = model.genus
     r = g + i - 1
     shift = r * (r + 1) // 2
     basis = build_basis(model, i)
     wron = _wronskian_parts(model, basis)
+    mults, stripped = wron.branch_strip(model)  # v(x - x0) = 2 and v(y) = 1 over a root x0
 
     ord_inf = wron.infinity_ord(model)
-    located = [(Place.branch(x0), wron.branch_ord(x0) + shift) for x0 in model.branch_x]
+    located = [(Place.branch(x0), 2 * (m - wron.e) + wron.k % 2 + shift) for x0, m in zip(model.branch_x, mults)]
     located.append((Place.infinity(), (g + i) * (2 * g + i - 1) - 3 * shift + ord_inf))
     entries = []
     for place, expected in located:
@@ -657,7 +673,7 @@ def total_weight(model: HyperellipticModel, i: int) -> WeightReport:
         entries.append((place, seq))
     located_branch = sum(seq.weight for _, seq in entries[:-1])
 
-    branch_ords = wron.branch_total(model.f, _strip_branch_factors(wron.det, model.f))
+    branch_ords = wron.branch_total(model.f, stripped)
     branch_weight_all = branch_ords + (2 * g + 1) * shift
     remainder_branch = branch_weight_all - located_branch
     remainder_ordinary = -ord_inf - branch_ords
@@ -750,7 +766,7 @@ def torsion_check(model: HyperellipticModel, j: int) -> bool:
 
     Both sides are compared as they are, made monic, with no squarefree
     part taken.  The ordinary part of the ramification locus is the
-    wronskian's block determinant with branch-supported factors removed.
+    wronskian's block determinant stripped of f's factors by one pass.
     By Riemann-Roch every ramification point of the system has weight 1,
     so on a smooth model that stripped determinant is squarefree already.
     Branch places (the 2-torsion) are ramified iff their common weight
@@ -766,7 +782,7 @@ def torsion_check(model: HyperellipticModel, j: int) -> bool:
     n = j + 1
     f = model.f
     wron = _wronskian_parts(model, build_basis(model, j))
-    stripped = _strip_branch_factors(wron.det, f)
+    stripped = wron.branch_strip(model)[1]
 
     shift = j * (j + 1) // 2
     branch_weight_all = wron.branch_total(f, stripped) + 3 * shift

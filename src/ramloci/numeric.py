@@ -43,11 +43,11 @@ Z[x] on integer lists: ``convolve`` for the products and ``_long_div``
 for the exact divisions by the previous pivot.  The wronskian's y-block
 enters it as integer lists; ``bareiss_det`` packs a matrix of int,
 Fraction and ``UniPoly`` entries into it, one denominator per row.
-``root_multiplicity`` divides by
-the primitive q x - p for x0 = p/q with ``_divide_linear``, a synthetic
-division over Z with one carry and no list slices.  ``gcd`` runs its
-pseudo-remainder sequence only when the integer gcd of the inputs'
-values at a large power of two does not prove them coprime.
+``root_multiplicity`` divides by the primitive q x - p for x0 = p/q
+with ``_divide_linear``, a synthetic division over Z with one carry and
+no list slices, which the wronskian bookkeeping runs in one pass over
+f's rational roots.  ``gcd`` runs its pseudo-remainder sequence only
+when the integer gcd of values at a power of two does not prove coprime.
 ``poly_on_series`` serves ``expand_at`` and ``curves._local_frame``: it
 composes a polynomial with an exact series by Horner's rule on ``Series``
 objects with the polynomial's integer numerators.  The Newton loops of

@@ -80,6 +80,8 @@ BRANCH_GOLDEN = {
     "half-roots": ("-1/2", "0", "1/2"),
 }
 HALF_ROOTS = "y^2 = x^3 - 1/4*x"
+# f = x (x - 1) (x + 1) (x^2 + 1), split over Q only partly
+PARTLY_SPLIT = "y^2 = x^5 - x"
 # Ordinary places of y^2 = x^3 + 1 with both signs of y0: (0, +-1) is
 # 3-torsion (weight 1 at i = 2) and (2, +-3) is 6-torsion (weight 1 at
 # i = 5); plus its place at infinity.
@@ -97,10 +99,15 @@ CURVE_GOLDEN = (
         for i in range(9)
     ]
     + [
+        (f"curve_weights_partly-split_i{i}.json", ("weights", PARTLY_SPLIT, "--i", str(i), "--format", "json"))
+        for i in (4, 6)
+    ]
+    + [
         (f"curve_torsion_nonsplit-elliptic_i{i}.json",
          ("torsion", GOLDEN_CURVES["nonsplit-elliptic"], "--i", str(i), "--format", "json"))
         for i in range(1, 7)
     ]
+    + [("curve_torsion_half-roots_i5.json", ("torsion", HALF_ROOTS, "--i", "5", "--format", "json"))]
     + [
         ("curve_orders_nonsplit-elliptic_i3_place1,2.pretty",
          ("orders", GOLDEN_CURVES["nonsplit-elliptic"], "--i", "3", "--place", "1,2")),

@@ -24,6 +24,7 @@ from ramloci.curves import (
     _series_orders,
     _strip_branch_factors,
     _wronskian_parts,
+    _WronskianParts,
     affine_wronskian,
     branch_ord_total,
     build_basis,
@@ -843,6 +844,8 @@ def _full_matrix_wronskian(model, basis):
 # y^2 = x^3 - x/4: 2f and f' have a denominator, which the integer
 # column recursion carries as a power of D (id suffix q)
 HALF_ROOTS = HyperellipticModel.from_poly(X**3 - X / 4)
+# f = x (x - 1) (x + 1) (x^2 + 1) splits only partly over Q
+X5_MINUS_X = HyperellipticModel.from_poly(X**5 - X)
 REFERENCE_CASES = [
     (model, i) for model, i_max in [(E1, 8), (E2, 8), (G2, 6), (G3, 6), (HALF_ROOTS, 6)]
     for i in range(i_max + 1)
@@ -1042,26 +1045,39 @@ class TestWronskian:
         # W = c det y^(k%2) / f^e, uncancelled
         assert wron.k == parts.k % 2
         assert wron.num * f**parts.e == parts.det * parts.c * wron.den
-        for x0 in model.branch_x:
-            assert parts.branch_ord(x0) == ord_at_branch(model, wron, x0)
+        mults, stripped = parts.branch_strip(model)
+        for x0, m in zip(model.branch_x, mults):
+            assert 2 * (m - parts.e) + parts.k % 2 == ord_at_branch(model, wron, x0)
         assert parts.infinity_ord(model) == ord_at_infinity(model, wron)
-        stripped = _strip_branch_factors(parts.det, f)
         assert parts.branch_total(f, stripped) == branch_ord_total(model, wron)
+        assert parts.branch_total(f, _strip_branch_factors(parts.det, f)) == branch_ord_total(model, wron)
 
     def test_bookkeeping_never_divides_by_a_power_of_f(self, monkeypatch):
         # a regression guard: total_weight and torsion_check read every
-        # wronskian valuation off the uncancelled parts
+        # wronskian valuation off the uncancelled parts in one pass.  Each
+        # rational root x0 is divided out of N by synthetic division, as
+        # often as its multiplicity plus at most one failed try, and out of
+        # f once; N is stripped only against f's cofactor with no rational
+        # root, which is f itself, unwrapped, when f has none
         import ramloci.curves as curves_mod
 
-        weights = {(m, i): total_weight(m, i) for m in (E1, E2, G2, G3) for i in range(0, 7)}
-        torsion = {(m, j): torsion_check(m, j) for m in (E1, E2) for j in range(1, 7)}
-        fs = {m.f for m in (E1, E2, G2, G3)}
-        calls = {"root_multiplicity": 0}
+        models = (E1, E2, G2, G3, HALF_ROOTS, X5_MINUS_X)
+        weights = {(m, i): total_weight(m, i) for m in models for i in range(0, 7)}
+        torsion = {(m, j): torsion_check(m, j) for m in (E1, E2, HALF_ROOTS) for j in range(1, 7)}
+        dets = {(m, i): _wronskian_parts(m, build_basis(m, i)).det for m, i in [*weights, *torsion]}
+        fs = {m.f for m in models}
+        divisions, strips = [], []
+        real_divide, real_strip = curves_mod._divide_linear, curves_mod._strip_branch_factors
         real_mult, real_pow = UniPoly.root_multiplicity, UniPoly.__pow__
 
-        def mult_spy(self, x0):
-            calls["root_multiplicity"] += 1
-            return real_mult(self, x0)
+        def divide_spy(nums, p, q):
+            quo = real_divide(nums, p, q)
+            divisions.append((Fraction(p, q), quo is not None))
+            return quo
+
+        def strip_spy(p, f):
+            strips.append(f)
+            return real_strip(p, f)
 
         def pow_spy(self, e):
             if self.monic() in fs:
@@ -1071,15 +1087,44 @@ class TestWronskian:
         def refuse(*args):
             raise AssertionError("the bookkeeping built the canonical wronskian")
 
-        monkeypatch.setattr(UniPoly, "root_multiplicity", mult_spy)
+        def refuse_multiplicity(*args):
+            raise AssertionError("the bookkeeping ran a second pass per root")
+
+        monkeypatch.setattr(curves_mod, "_divide_linear", divide_spy)
+        monkeypatch.setattr(curves_mod, "_strip_branch_factors", strip_spy)
+        monkeypatch.setattr(UniPoly, "root_multiplicity", refuse_multiplicity)
         monkeypatch.setattr(UniPoly, "__pow__", pow_spy)
         monkeypatch.setattr(curves_mod, "affine_wronskian", refuse)
+
+        def check_one_pass(model, det):
+            for x0 in model.branch_x:
+                mult = real_mult(det, x0)
+                done = [ok for root, ok in divisions if root == x0]
+                # mult + 1 exact divisions, N's mult and f's one, then one
+                # failed try unless N was already a constant
+                assert done.count(True) == mult + 1, (model.f, x0)
+                assert done.count(False) == (det.degree - mult > 0), (model.f, x0)
+            assert {root for root, _ in divisions} == set(model.branch_x)
+            if len(model.branch_x) == model.f.degree:
+                assert strips == [], model.f
+            elif not model.branch_x:
+                assert len(strips) == 1 and strips[0] is model.f
+            else:
+                cofactor = model.f
+                for x0 in model.branch_x:
+                    cofactor = cofactor / (X - x0)
+                assert [f.monic() for f in strips] == [cofactor], model.f
+
         for (model, i), report in weights.items():
-            calls["root_multiplicity"] = 0
+            divisions.clear()
+            strips.clear()
             assert total_weight(model, i) == report
-            assert calls["root_multiplicity"] == len(model.branch_x), (model.f, i)
+            check_one_pass(model, dets[model, i])
         for (model, j), verdict in torsion.items():
+            divisions.clear()
+            strips.clear()
             assert torsion_check(model, j) is verdict
+            check_one_pass(model, dets[model, j])
 
     @pytest.mark.parametrize("model", [E1, E2], ids=["x^3-x", "x^3+1"])
     def test_ordinary_locus_matches_norm(self, model):
@@ -1093,6 +1138,88 @@ class TestWronskian:
                 norm = norm / shared
             ordinary = _strip_branch_factors(wron.num, f).squarefree_part()
             assert ordinary.monic() == norm.squarefree_part().monic(), j
+
+
+# The models of the branch-strip oracle: integer, half-integer and no
+# rational roots, and f split over Q, partly or not at all.
+BRANCH_STRIP_MODELS = {
+    "split-genus2": G2,
+    "x^3-x/4": HALF_ROOTS,
+    "x^5-5x^3/4+x/4": HyperellipticModel.from_poly(X**5 - Fraction(5, 4) * X**3 + X / 4),
+    "x^5-x": X5_MINUS_X,
+    "x^7-x": HyperellipticModel.from_poly(X**7 - X),
+    "x^7-x+1": G3,
+}
+
+
+def _reference_branch_strip(parts, model):
+    """``branch_strip`` by the references: one root multiplicity per
+    rational root and one strip of all of f's factors."""
+    mults = [parts.det.root_multiplicity(x0) for x0 in model.branch_x]
+    return mults, _strip_branch_factors(parts.det, model.f)
+
+
+def _assert_strip_matches_reference(parts, model):
+    mults, stripped = parts.branch_strip(model)
+    want_mults, want = _reference_branch_strip(parts, model)
+    assert mults == want_mults
+    assert stripped.degree == want.degree and stripped.monic() == want.monic()
+
+
+class TestBranchStrip:
+    @pytest.mark.parametrize("model", BRANCH_STRIP_MODELS.values(), ids=BRANCH_STRIP_MODELS.keys())
+    def test_matches_the_references(self, model):
+        for i in range(9):
+            _assert_strip_matches_reference(_wronskian_parts(model, build_basis(model, i)), model)
+
+    @pytest.mark.parametrize("model", BRANCH_STRIP_MODELS.values(), ids=BRANCH_STRIP_MODELS.keys())
+    def test_weights_match_the_references(self, model, monkeypatch):
+        reports = [total_weight(model, i) for i in range(9)]
+        monkeypatch.setattr(_WronskianParts, "branch_strip", _reference_branch_strip)
+        assert reports == [total_weight(model, i) for i in range(9)]
+
+    @pytest.mark.parametrize("model", [E1, E2, HALF_ROOTS], ids=["x^3-x", "x^3+1", "x^3-x/4"])
+    def test_torsion_matches_the_references(self, model, monkeypatch):
+        verdicts = [torsion_check(model, j) for j in range(1, 9)]
+        assert all(verdicts)
+        monkeypatch.setattr(_WronskianParts, "branch_strip", _reference_branch_strip)
+        assert verdicts == [torsion_check(model, j) for j in range(1, 9)]
+
+    def test_no_rational_root_strips_n_and_f_as_they_are(self, monkeypatch):
+        import ramloci.curves as curves_mod
+
+        parts = _wronskian_parts(G3, build_basis(G3, 4))
+        seen = []
+        monkeypatch.setattr(curves_mod, "_strip_branch_factors", lambda p, f: seen.append((p, f)) or p)
+        assert parts.branch_strip(G3) == ([], parts.det)
+        assert len(seen) == 1 and seen[0][0] is parts.det and seen[0][1] is G3.f
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        roots=st.lists(st.fractions(-4, 4, max_denominator=3), min_size=0, max_size=4, unique=True),
+        cofactor=st.lists(st.integers(-5, 5), min_size=0, max_size=3),
+        planted=st.lists(st.integers(0, 3), min_size=5, max_size=5),
+        noise=st.lists(st.fractions(-5, 5, max_denominator=2), min_size=1, max_size=4),
+        power=st.integers(0, 2),
+        i=st.integers(0, 3),
+    )
+    def test_planted_roots_times_a_squarefree_cofactor(self, roots, cofactor, planted, noise, power, i):
+        # f = prod(x - r_j) times a monic cofactor with or without rational
+        # roots; N is a wronskian determinant and a random polynomial with
+        # planted powers of f's linear factors and of f itself
+        f = X ** len(cofactor) + UniPoly(cofactor)
+        for r in roots:
+            f = f * (X - r)
+        assume(f.degree >= 3 and f.degree % 2 and f.is_squarefree())
+        model = HyperellipticModel.from_poly(f)
+        assert set(roots) <= set(model.branch_x)
+        _assert_strip_matches_reference(_wronskian_parts(model, build_basis(model, i)), model)
+        det = UniPoly(noise)
+        assume(not det.is_zero())
+        for r, m in zip(roots, planted):
+            det = det * (X - r) ** m
+        det = det * f**power
+        _assert_strip_matches_reference(_WronskianParts(det, 1, 0, Fraction(1)), model)
 
 
 class TestTotalWeight:
