@@ -500,6 +500,19 @@ class _WronskianParts(Value):
         return 2 * (self.det.degree - stripped.degree - self.e * f.degree) + self.k % 2 * f.degree
 
 
+Y_ROWS_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=Y_ROWS_CACHE_SIZE)
+def _y_rows(model: HyperellipticModel) -> dict:
+    """y's integer derivative rows S_m of ``_wronskian_parts`` by m, from
+    S_0 = 1; that function extends them as far as a basis needs.  Each
+    row is a tuple written once under its own m from row m - 1, so a
+    caller, or two callers extending at once, only ever store or read
+    the one S_m of f."""
+    return {0: (1,)}
+
+
 def _wronskian_parts(model: HyperellipticModel, basis: MonomialBasis) -> _WronskianParts:
     """Determinant of the derivative matrix (d/dx)^m applied to the basis
     monomials, as uncancelled ``_WronskianParts``.
@@ -526,9 +539,17 @@ def _wronskian_parts(model: HyperellipticModel, basis: MonomialBasis) -> _Wronsk
     against the denominator by exponent arithmetic, as does f^(k//2).
 
     The recursion runs on integer lists: with 2f = F2/D and f' = F1/D
-    over Z, S_m = D^m R_m has S_{m+1} = F2 S_m' + (1 - 2m) F1 S_m.  The
-    k x k entries of Y stay integer lists S_m through the Bareiss loop
-    over Z[x], and only det(S) is wrapped: row m carries D^m, so
+    over Z, S_m = D^m R_m has S_{m+1} = F2 S_m' + (1 - 2m) F1 S_m.  For
+    y itself (a = 0) the rows depend on f alone, so ``_y_rows`` keeps
+    them per model and a call extends them only to the n rows it needs.
+    Each further y-column comes from its neighbour by Leibniz,
+    (x u)^(m) = x u^(m) + m u^(m-1), in one product per entry:
+
+        S_m(x^a y) = x S_m(x^(a-1) y) + m F2 S_(m-1)(x^(a-1) y),
+
+    starting at the first row the next column reads.  The k x k entries
+    of Y stay integer lists S_m through the Bareiss loop over Z[x], and
+    only det(S) is wrapped: row m carries D^m, so
     det(Y) = det(S) / D^(k (x_count + n - 1) / 2).
     """
     n = len(basis)
@@ -537,30 +558,36 @@ def _wronskian_parts(model: HyperellipticModel, basis: MonomialBasis) -> _Wronsk
     two_f = 2 * f
     D = math.lcm(two_f.den, fp.den)
     F2, F1 = ([c * (D // p.den) for c in p.nums] for p in (two_f, fp))
-    x_count = n - sum(b for _, b in basis.exponents)
-    y_columns = []
     sign = 1
-    for a_exp, b_exp in basis.exponents:
-        if not b_exp:
+    k = 0
+    for _, b_exp in basis.exponents:
+        if b_exp:
+            k += 1
+        else:
             # every y-column before this x-column is one inversion
-            sign *= (-1) ** len(y_columns)
-            continue
-        s, col = [0] * a_exp + [1], []
-        for m in range(n):
-            if m >= x_count:
-                col.append(s)
-            if m < n - 1:
-                n_out = len(s) + len(F2) - 2
-                ds = _kernels.convolve(F2, [j * c for j, c in enumerate(s)][1:], n_out)
-                s = [u + (1 - 2 * m) * v for u, v in zip(ds, _kernels.convolve(F1, s, n_out))]
-        y_columns.append(col)
-    k = len(y_columns)
+            sign *= (-1) ** k
+    x_count = n - k
     # rows x_count..n-1 carry (2f)^power, and y^k brings f^(k//2) upstairs
     power = k * (x_count + n - 1) // 2
     det = UniPoly.const(1)
     if k:
-        block = [[col[r] for col in y_columns] for r in range(k)]
-        det = UniPoly.from_numerators(_bareiss(block), D**power)
+        rows = _y_rows(model)
+        for m in range(len(rows), n):  # S_m = F2 S_(m-1)' + (3 - 2m) F1 S_(m-1)
+            s = rows[m - 1]
+            n_out = len(s) + len(F2) - 2
+            ds = _kernels.convolve(F2, [j * c for j, c in enumerate(s)][1:], n_out)
+            rows[m] = tuple([u + (3 - 2 * m) * v for u, v in zip(ds, _kernels.convolve(F1, s, n_out))])
+        lo = x_count - k + 1  # x^(k-1) y reads y's rows from here on, through k - 1 steps
+        col = [rows[m] for m in range(lo, n)]
+        columns = [col[-k:]]
+        for _ in range(1, k):
+            lo += 1
+            col = [
+                [u + m * v for u, v in zip([0, *s], _kernels.convolve(F2, r, len(s) + 1))]
+                for m, r, s in zip(range(lo, n), col, col[1:])
+            ]
+            columns.append(col[-k:])
+        det = UniPoly.from_numerators(_bareiss(list(zip(*columns))), D**power)
         if det.is_zero():
             raise DegenerateSystemError("wronskian of a monomial basis vanished")
     c = Fraction(sign * math.prod(map(math.factorial, range(x_count))), 2**power)

@@ -35,7 +35,8 @@ Chow-ring and bundle calculus therefore runs on integers, and
 ``UniPoly`` or ``Series`` product is one call of the integer kernel
 ``_kernels.convolve`` on the stored numerators.  Polynomial division
 (``/`` and the pseudo-remainders of ``gcd``) is one integer
-long-division loop, ``_long_div``; ``/`` is exact division, by the
+long-division loop, ``_long_div``, which updates only the divisor's
+nonzero terms; ``/`` is exact division, by the
 primitive part of the divisor, which stays over Z by Gauss's lemma, and
 its core ``_quotient`` returns None where the divisor does not divide.
 Determinants have one fraction-free Bareiss loop, ``_bareiss``, over
@@ -159,11 +160,13 @@ def _long_div(nums, divisor):
     """Long division over Z of the integer list ``nums`` by ``divisor``:
     (quotient, remainder) as integer lists, or None as soon as a quotient
     coefficient is not an integer.  Each step is one exact ``divmod`` by
-    the lead of the divisor; a caller that needs every step to succeed
-    scales ``nums`` by a power of that lead first."""
+    the lead of the divisor and touches only the divisor's nonzero lower
+    terms, as ``convolve`` skips zero factors; a caller that needs every
+    step to succeed scales ``nums`` by a power of that lead first."""
     rem = list(nums)
     n = len(divisor) - 1
     lead = divisor[-1]
+    terms = [(j, b) for j, b in enumerate(divisor[:n]) if b]
     quo = [0] * max(len(rem) - n, 0)
     for k in range(len(quo) - 1, -1, -1):
         c, r = divmod(rem[k + n], lead)
@@ -171,7 +174,8 @@ def _long_div(nums, divisor):
             return None
         quo[k] = c
         if c:
-            rem[k : k + n] = [a - c * b for a, b in zip(rem[k : k + n], divisor)]
+            for j, b in terms:
+                rem[k + j] -= c * b
     return quo, rem[:n]
 
 

@@ -1,6 +1,8 @@
 """Reference implementations shared by the tests: slow, obviously
 correct versions of what the library computes a faster way."""
 
+from fractions import Fraction
+
 from ramloci.curves import (
     DX_OVER_Y,
     INFINITY,
@@ -26,6 +28,21 @@ def cofactor_det(matrix):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def long_div_by_fractions(nums, divisor):
+    """Reference: schoolbook long division over Q of the coefficient list
+    ``nums`` by ``divisor`` (lowest first, nonzero lead), every term of
+    the divisor at every step: (quotient, remainder) as Fraction lists,
+    the remainder cut to the divisor's degree."""
+    rem = [Fraction(c) for c in nums]
+    n = len(divisor) - 1
+    quo = [Fraction(0)] * max(len(rem) - n, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        quo[k] = c = rem[k + n] / divisor[-1]
+        for j, b in enumerate(divisor):
+            rem[k + j] -= c * b
+    return quo, rem[:n]
 
 
 def strip_by_gcds(p, f):

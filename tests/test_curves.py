@@ -1,9 +1,11 @@
+import functools
 import io
 import os
 import random
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import ramloci
 from ramloci.cli import main, parse_curve
 from ramloci.curves import (
     DX_OVER_Y,
+    Y_ROWS_CACHE_SIZE,
     CurveFunction,
     HyperellipticModel,
     MonomialBasis,
@@ -25,6 +28,7 @@ from ramloci.curves import (
     _strip_branch_factors,
     _wronskian_parts,
     _WronskianParts,
+    _y_rows,
     affine_wronskian,
     branch_ord_total,
     build_basis,
@@ -852,6 +856,20 @@ REFERENCE_CASES = [
 ]
 
 
+
+
+@functools.lru_cache(maxsize=None)
+def _full_reference(model, i):
+    return _full_matrix_wronskian(model, build_basis(model, i))
+
+
+def _assert_parts_match_reference(parts, model, i):
+    # W = c det y^(k%2) / f^e against the reference's num y^k / den
+    num, k, den = _full_reference(model, i)
+    assert parts.k % 2 == k
+    assert parts.c * parts.det * den == num * model.f**parts.e
+
+
 class TestWronskian:
     @pytest.mark.parametrize(
         "model, i", REFERENCE_CASES,
@@ -864,7 +882,7 @@ class TestWronskian:
         # covers bases with two to four y-columns (i >= 4), which the
         # series and sympy oracles do not reach
         w = affine_wronskian(model, build_basis(model, i))
-        assert (w.num, w.k, w.den) == _full_matrix_wronskian(model, build_basis(model, i))
+        assert (w.num, w.k, w.den) == _full_reference(model, i)
 
     def test_two_dim_basis_gives_one(self):
         w = affine_wronskian(E1, build_basis(E1, 1))
@@ -1142,6 +1160,73 @@ class TestWronskian:
 
 # The models of the branch-strip oracle: integer, half-integer and no
 # rational roots, and f split over Q, partly or not at all.
+class TestYRowCache:
+    """y's derivative rows are kept per model, and no order of calls,
+    model or thread can be told from a cold computation."""
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_every_order_of_twists_matches_the_reference(self, order):
+        twists = {}
+        for model, i in REFERENCE_CASES:
+            twists.setdefault(model, []).append(i)
+        for model, found in twists.items():
+            found = sorted(found, reverse=order == "descending")
+            if order == "shuffled":
+                random.Random(13).shuffle(found)
+            _y_rows.cache_clear()
+            for i in found:
+                _assert_parts_match_reference(_wronskian_parts(model, build_basis(model, i)), model, i)
+
+    def test_interleaved_models_match_the_reference(self):
+        cases = list(REFERENCE_CASES)
+        random.Random(17).shuffle(cases)
+        _y_rows.cache_clear()
+        for model, i in cases:
+            _assert_parts_match_reference(_wronskian_parts(model, build_basis(model, i)), model, i)
+
+    def test_equal_models_built_apart_share_one_entry(self):
+        _y_rows.cache_clear()
+        a = HyperellipticModel.from_poly(X**7 - X + 1)
+        b = HyperellipticModel(UniPoly([1, -1, 0, 0, 0, 0, 0, 1]))
+        assert a == b == G3 and a is not b
+        for i in (4, 2, 6, 3, 5):
+            for model, other in ((a, E2), (b, E1)):
+                _assert_parts_match_reference(_wronskian_parts(model, build_basis(model, i)), G3, i)
+                _assert_parts_match_reference(_wronskian_parts(other, build_basis(other, i)), other, i)
+        assert _y_rows(a) is _y_rows(b)
+        assert _y_rows.cache_info().currsize == 3
+
+    def test_bounded_by_the_module_constant_and_extended_to_n_rows(self):
+        assert _y_rows.cache_parameters()["maxsize"] == Y_ROWS_CACHE_SIZE
+        _y_rows.cache_clear()
+        total_weight(G2, 1)  # no y-column: no rows
+        assert _y_rows.cache_info().currsize == 0
+        for i in (6, 3):
+            total_weight(G2, i)
+        rows = _y_rows(G2)
+        assert sorted(rows) == list(range(len(build_basis(G2, 6))))
+        assert all(type(r) is tuple and all(type(c) is int for c in r) for r in rows.values())
+
+    def test_threads_extending_one_model_store_the_same_rows(self):
+        # more workers than cores and a short switch interval, so threads
+        # interleave inside the loop that extends the rows
+        twists = [8, 3, 6, 2, 7, 4, 5, 8] * 2
+        _y_rows.cache_clear()
+        serial = {i: _wronskian_parts(E2, build_basis(E2, i)) for i in sorted(set(twists))}
+        rows = dict(_y_rows(E2))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                _y_rows.cache_clear()
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(_wronskian_parts, E2, build_basis(E2, i)) for i in twists]
+                    assert [future.result(timeout=60) for future in futures] == [serial[i] for i in twists]
+                assert _y_rows(E2) == rows
+        finally:
+            sys.setswitchinterval(interval)
+
+
 BRANCH_STRIP_MODELS = {
     "split-genus2": G2,
     "x^3-x/4": HALF_ROOTS,

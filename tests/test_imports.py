@@ -1,11 +1,14 @@
-"""Every name a ``ramloci`` module imports is used there, and no module
-builds records with a factory of its own.
+"""Every name a ``ramloci`` module imports is used there, no module
+builds records with a factory of its own, and none reads the process
+environment.
 
 A name counts as used when the module reads it (annotations included,
 also those written as strings), when the module's ``__all__`` exports
 it, or when ``ALLOWED`` names it with a reason.  Records derive from
 ``numeric.Value`` like every other value type, so ``NamedTuple``,
-``namedtuple`` and ``dataclasses`` appear in no module.
+``namedtuple`` and ``dataclasses`` appear in no module.  Cache bounds
+and other limits are module constants, so no module reads ``os.environ``
+or ``os.getenv``.
 """
 
 import ast
@@ -124,3 +127,33 @@ def test_records_have_no_factory_besides_value(path):
 def test_record_factory_check_sees_each_spelling(source):
     assert _record_factories(ast.parse(source))
     assert not _record_factories(ast.parse("from typing import Mapping\nimport collections"))
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree):
+    """The environment readers of ``os`` the module names, by any spelling."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+            found.add(node.attr)
+    return found & ENVIRONMENT_READS
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_reads_the_environment(path):
+    # cache bounds and every other limit are module constants, not switches
+    found = _environment_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} reads {sorted(found)}"
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["import os\nos.environ.get('X')", "import os\nos.getenv('X')", "from os import environ", "from os import getenv as g"],
+)
+def test_environment_check_sees_each_spelling(source):
+    assert _environment_reads(ast.parse(source))
+    assert not _environment_reads(ast.parse("import os\nos.dup2(1, 2)\nfrom os import devnull"))

@@ -21,6 +21,7 @@ from ramloci.numeric import (
     UniPoly,
     _bareiss,
     _certified_coprime,
+    _long_div,
     _pack,
     _primitive,
     bareiss_det,
@@ -30,7 +31,7 @@ from ramloci.numeric import (
     series_sqrt,
 )
 
-from _reference import cofactor_det
+from _reference import cofactor_det, long_div_by_fractions
 
 G = ParamPoly.g()
 I = ParamPoly.i()
@@ -72,18 +73,7 @@ def _divmod_by_fractions(p: UniPoly, d: UniPoly):
     """Reference: schoolbook long division over Q on Fraction lists."""
     if d.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p.coeffs)
-    dq = len(rem) - len(d.coeffs)
-    if dq < 0:
-        return UniPoly(), p
-    quo = [Fraction(0)] * (dq + 1)
-    inv_lead = 1 / d.lead
-    for k in range(dq, -1, -1):
-        c = rem[k + d.degree] * inv_lead
-        quo[k] = c
-        if c:
-            for j, dc in enumerate(d.coeffs):
-                rem[k + j] -= c * dc
+    quo, rem = long_div_by_fractions(p.coeffs, d.coeffs)
     return UniPoly(quo), UniPoly(rem)
 
 
@@ -811,6 +801,34 @@ class TestIntegerKernels:
                 assert p.root_multiplicity(x0) == _root_multiplicity_by_division(p, x0)
                 assert p / p == 1
 
+    @given(
+        st.sampled_from([1, -1, 2, -3, 6]),
+        st.one_of(
+            st.lists(st.integers(-30, 30).filter(bool), max_size=7),
+            st.lists(st.sampled_from([0, 0, 0, 1, -2, 17]), max_size=7),
+        ),
+        st.lists(st.integers(-10**6, 10**6), max_size=8),
+        st.lists(st.integers(-5, 5), max_size=3),
+        st.booleans(),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_long_div_matches_fractions(self, lead, lower, q, r, planted):
+        # dense and sparse divisors with unit and non-unit leads, degree 0
+        # included; a planted q * divisor + r divides with remainder r
+        divisor = [*lower, lead]
+        nums = list(q)
+        if planted:
+            nums = _naive_convolve(q, divisor, len(q) + len(lower)) if q else []
+            nums[: len(r)] = [a + b for a, b in zip(nums, r)]
+        ref_q, ref_r = long_div_by_fractions(nums, divisor)
+        got = _long_div(tuple(nums), tuple(divisor))
+        if any(c.denominator != 1 for c in ref_q):
+            assert got is None
+        else:
+            assert got == ([int(c) for c in ref_q], [int(c) for c in ref_r])
+        if planted and len(r) <= len(lower) and q:
+            assert got is not None and got[0] == q
+
     def test_zero_polynomial(self):
         zero = UniPoly()
         for divide in (operator.truediv, _divmod_by_fractions):
@@ -1063,6 +1081,16 @@ class TestBareiss:
             bareiss_det([[1.5]])
         with pytest.raises(ValueError):
             bareiss_det([[1, 2]])
+
+    def test_pivots_with_zero_inner_coefficients(self):
+        # the first pivot x^4 - 2 and the second (x^4 - 2)(x^2 + 3) are
+        # sparse, so every exact division skips their zero terms
+        X = UniPoly.x()
+        rng = random.Random(41)
+        for _ in range(10):
+            m = [[UniPoly([rng.randint(-4, 4) for _ in range(3)]) for _ in range(4)] for _ in range(4)]
+            m[0][0], m[1][0], m[1][1] = X**4 - 2, UniPoly(), X**2 + 3
+            assert bareiss_det(m) == cofactor_det(m)
 
     def test_integer_loop_against_cofactor(self):
         # entries in Z[x] as integer lists; zeros make pivots vanish (row
